@@ -130,6 +130,33 @@ void BM_RootPropagationDct(benchmark::State& state) {
 }
 BENCHMARK(BM_RootPropagationDct)->Unit(benchmark::kMillisecond);
 
+/// Node-budgeted first-feasible DFS on a Table 3 window (DCT, Rmax 576,
+/// N = 6, latency in [1395, 2657.5] ns) that has no design: the search
+/// refutes by propagation and branching until the budget runs out, so
+/// us_per_node measures propagation per node in a single process.
+void BM_RefuteDct576Budget(benchmark::State& state) {
+  const graph::TaskGraph g = workloads::dct_task_graph();
+  const arch::Device dev = arch::custom("d", 576, 4096, 100);
+  core::IlpFormulation form(g, dev, 6, 2657.5, 1395.0);
+  SolverParams params;
+  params.num_threads = 1;
+  params.node_limit = state.range(0);
+  params = first_feasible_params(params);
+  MilpSolution s;
+  for (auto _ : state) {
+    s = Solver(form.model(), params).solve();
+    benchmark::DoNotOptimize(s.status);
+  }
+  const auto nodes = static_cast<double>(s.stats.nodes_explored);
+  state.counters["nodes"] = nodes;
+  state.counters["bounds_tightened"] =
+      static_cast<double>(s.stats.bounds_tightened);
+  state.counters["us_per_node"] = nodes > 0 ? s.seconds * 1e6 / nodes : 0.0;
+  state.counters["limit_reached"] =
+      s.status == SolveStatus::kLimitReached ? 1 : 0;
+}
+BENCHMARK(BM_RefuteDct576Budget)->Unit(benchmark::kMillisecond)->Arg(2000);
+
 }  // namespace
 
 BENCHMARK_MAIN();

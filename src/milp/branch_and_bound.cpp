@@ -142,23 +142,52 @@ class ParallelContext {
     return total_nodes_.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] bool global_limits_hit() const {
+  [[nodiscard]] bool global_limits_hit() {
     return stop_requested_.load(std::memory_order_relaxed) ||
            budget_limits_hit();
   }
 
-  /// True when the run ended because of a budget/cancellation, not because
-  /// the tree was exhausted (mirrors the serial status mapping). The
-  /// timeout failpoint fires here — the shared check every worker and the
-  /// final status mapping consult — so an injected timeout is classified
-  /// exactly like a real one.
-  [[nodiscard]] bool budget_limits_hit() const {
-    if (SPARCS_FAILPOINT("milp.solve.timeout")) return true;
-    return total_nodes_.load(std::memory_order_relaxed) >=
-               params_.node_limit ||
-           params_.cancel.cancelled() ||
-           callbacks_.session_cancel.cancelled() ||
-           stopwatch.seconds() >= params_.time_limit_sec;
+  /// True once a budget or cancellation has stopped the run. The first hit
+  /// is latched, so every worker winds down and the final status mapping
+  /// reads the cause recorded when the search stopped: a cancel that is
+  /// reset in between cannot make a cut-short search look exhausted. The
+  /// timeout failpoint fires here — the shared check every worker consults
+  /// — so an injected timeout is classified exactly like a real one.
+  bool budget_limits_hit() {
+    if (limit_stopped_.load(std::memory_order_relaxed)) return true;
+    const bool hit = SPARCS_FAILPOINT("milp.solve.timeout") ||
+                     total_nodes_.load(std::memory_order_relaxed) >=
+                         params_.node_limit ||
+                     params_.cancel.cancelled() ||
+                     callbacks_.session_cancel.cancelled() ||
+                     stopwatch.seconds() >= params_.time_limit_sec;
+    if (hit) limit_stopped_.store(true, std::memory_order_relaxed);
+    return hit;
+  }
+
+  /// True when a budget or cancellation stopped the run (the latch above).
+  [[nodiscard]] bool limit_stopped() const {
+    return limit_stopped_.load(std::memory_order_relaxed);
+  }
+
+  /// Records that a worker stopped on a limit at DFS position `rank`, so
+  /// the tree from `rank` on was not fully explored.
+  void note_abandoned(const Rank& rank) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!have_abandoned_ || rank < abandoned_rank_) {
+      have_abandoned_ = true;
+      abandoned_rank_ = rank;
+    }
+  }
+
+  /// True when the first-feasible candidate is the DFS-first feasible leaf,
+  /// i.e. no subproblem ranked before it was abandoned or left in the pool
+  /// (call after workers joined). Only then may a cut-short run return it:
+  /// the serial search would not have reached any later leaf.
+  [[nodiscard]] bool candidate_precedes_abandoned() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (have_abandoned_ && !(candidate_rank_ < abandoned_rank_)) return false;
+    return pool_.empty() || candidate_rank_ < pool_.begin()->first;
   }
 
   void request_stop() {
@@ -336,6 +365,9 @@ class ParallelContext {
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> unbounded_{false};
   std::atomic<bool> incomplete_{false};
+  std::atomic<bool> limit_stopped_{false};
+  bool have_abandoned_ = false;  ///< under mu_
+  Rank abandoned_rank_;          ///< under mu_; smallest abandoned position
 
   // Candidate (first-feasible mode) / incumbent (optimality mode); both use
   // candidate_rank_/candidate_values_ for storage.
@@ -402,13 +434,15 @@ class BnbSearch {
   bool handle_leaf(MilpSolution& result);
   void record_incumbent(std::vector<double> values, MilpSolution& result);
   void worker_record(std::vector<double> values, double obj);
-  bool limits_hit() const;
+  /// True when a budget or cancellation stops the search; the first hit is
+  /// latched (limit_stopped_) and decides the final status.
+  bool limits_hit();
   bool cancel_requested() const;
   void absorb_lp(const LpResult& lp_result);
   /// LP parameters for in-node solves: wires the global limits into the
   /// simplex abort hook, so a deadline/cancel unwinds from inside a long LP
   /// run instead of waiting for the next node boundary.
-  LpParams node_lp_params() const;
+  LpParams node_lp_params();
   /// Marks the search incomplete (a subtree was dropped for a numerical or
   /// allocation reason): exhaustion no longer proves infeasibility.
   void mark_incomplete();
@@ -551,6 +585,9 @@ class BnbSearch {
   /// True when the search stopped because allocation failures exhausted the
   /// retry budget (distinguishes this stop_ from a record_incumbent stop).
   bool alloc_stop_ = false;
+  /// Serial search: latched by limits_hit() when a budget or cancellation
+  /// stopped the search (parallel workers latch in the ParallelContext).
+  bool limit_stopped_ = false;
 
   // -- telemetry (all inert unless live_ / tree_on_ are set) ---------------
   telemetry::LiveSolve* live_ = nullptr;  ///< live slot; null = off
@@ -795,7 +832,7 @@ void BnbSearch::absorb_lp(const LpResult& lp_result) {
   }
 }
 
-LpParams BnbSearch::node_lp_params() const {
+LpParams BnbSearch::node_lp_params() {
   LpParams lp;
   lp.should_abort = [this] { return limits_hit(); };
   lp.want_certificate = proof_on_;
@@ -967,12 +1004,13 @@ bool BnbSearch::cancel_requested() const {
   return params_.cancel.cancelled() || callbacks_.session_cancel.cancelled();
 }
 
-bool BnbSearch::limits_hit() const {
-  if (SPARCS_FAILPOINT("milp.solve.timeout")) return true;
+bool BnbSearch::limits_hit() {
   if (ctx_ != nullptr) return ctx_->global_limits_hit();
-  if (cancel_requested()) return true;
-  return nodes_ >= params_.node_limit ||
-         stopwatch_.seconds() >= params_.time_limit_sec;
+  if (limit_stopped_) return true;
+  limit_stopped_ = SPARCS_FAILPOINT("milp.solve.timeout") ||
+                   cancel_requested() || nodes_ >= params_.node_limit ||
+                   stopwatch_.seconds() >= params_.time_limit_sec;
+  return limit_stopped_;
 }
 
 bool BnbSearch::position_pruned() {
@@ -1078,7 +1116,13 @@ void BnbSearch::search_loop(MilpSolution& result) {
   // hold new work (fresh node); false means resume the top frame.
   bool descend = true;
   while (!stop_) {
-    if (limits_hit()) break;
+    if (limits_hit()) {
+      // Everything from this position on stays unexplored.
+      if (ctx_ != nullptr && ctx_->limit_stopped()) {
+        ctx_->note_abandoned(current_rank());
+      }
+      break;
+    }
     if (descend) {
       ++nodes_;
       if (ctx_ != nullptr) {
@@ -1303,11 +1347,11 @@ MilpSolution BnbSearch::run() {
   } else if (have_incumbent_) {
     // An incomplete tree (dropped subtrees) can still certify feasibility,
     // but no longer optimality.
-    result.status = limits_hit() || incomplete_ ? SolveStatus::kFeasible
-                                                : SolveStatus::kOptimal;
+    result.status = limit_stopped_ || incomplete_ ? SolveStatus::kFeasible
+                                                  : SolveStatus::kOptimal;
   } else if (result.status == SolveStatus::kUnbounded) {
     // keep
-  } else if (limits_hit()) {
+  } else if (limit_stopped_) {
     result.status = SolveStatus::kLimitReached;
   } else {
     // Exhaustion only proves infeasibility when no subtree was dropped.
@@ -1499,8 +1543,14 @@ MilpSolution solve_parallel(const Model& model, const SolverParams& params,
   result.propagations = result.stats.propagated_constraints;
   result.seconds = ctx.stopwatch.seconds();
 
-  const bool limit_stopped = ctx.budget_limits_hit();
-  if (ctx.have_solution()) {
+  const bool limit_stopped = ctx.limit_stopped();
+  // A cut-short first-feasible run keeps its candidate only when it is the
+  // answer the serial search would give.
+  const bool solution_usable =
+      ctx.have_solution() &&
+      !(first_feasible_mode && limit_stopped &&
+        !ctx.candidate_precedes_abandoned());
+  if (solution_usable) {
     if (first_feasible_mode) {
       result.status = params.stop_at_first_feasible || ctx.incomplete()
                           ? SolveStatus::kFeasible

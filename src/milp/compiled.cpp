@@ -59,13 +59,32 @@ CompiledModel::CompiledModel(const Model& model, bool with_objective_cutoff) {
     append_row(obj_terms_, Sense::kLessEqual, kInfinity);
   }
 
-  vadj_.assign(static_cast<std::size_t>(n), {});
+  // Column CSR by counting sort; rows are visited in order, so each
+  // column lists its rows ascending.
+  col_start_.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const VarId v : var_) ++col_start_[static_cast<std::size_t>(v) + 1];
+  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
+    col_start_[v + 1] += col_start_[v];
+  }
+  col_row_.resize(var_.size());
+  col_coef_.resize(var_.size());
+  std::vector<std::int32_t> fill(col_start_.begin(), col_start_.end() - 1);
+  row_range_.reserve(constraints_.size());
+  row_scale_.reserve(constraints_.size());
   for (int c = 0; c < num_constraints(); ++c) {
     const CompiledConstraint& cc = constraints_[static_cast<std::size_t>(c)];
+    double range = 0.0, scale = 0.0;
     for (std::int32_t k = cc.begin; k < cc.end; ++k) {
-      vadj_[static_cast<std::size_t>(var_[static_cast<std::size_t>(k)])]
-          .push_back(c);
+      const auto v = static_cast<std::size_t>(var_[static_cast<std::size_t>(k)]);
+      const double a = coef_[static_cast<std::size_t>(k)];
+      const auto slot = static_cast<std::size_t>(fill[v]++);
+      col_row_[slot] = c;
+      col_coef_[slot] = a;
+      range = std::max(range, std::abs(a) * (ub_[v] - lb_[v]));
+      scale += std::abs(a) * std::max(std::abs(lb_[v]), std::abs(ub_[v]));
     }
+    row_range_.push_back(std::isfinite(scale) ? range : kInfinity);
+    row_scale_.push_back(scale);
   }
 
   branch_order_.reserve(static_cast<std::size_t>(n));

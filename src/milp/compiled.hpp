@@ -1,8 +1,10 @@
-// Compiled (solver-internal) form of a Model: CSR constraint storage,
-// variable -> constraint adjacency, and an optional dynamic objective-cutoff
-// row used by branch & bound to turn incumbent objectives into a constraint.
+// Compiled (solver-internal) form of a Model: CSR constraint storage, the
+// transposed (column) CSR index, per-row static ranges, and an optional
+// dynamic objective-cutoff row used by branch & bound to turn incumbent
+// objectives into a constraint.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "milp/model.hpp"
@@ -55,9 +57,26 @@ class CompiledModel {
   [[nodiscard]] double lb(VarId v) const { return lb_[static_cast<std::size_t>(v)]; }
   [[nodiscard]] double ub(VarId v) const { return ub_[static_cast<std::size_t>(v)]; }
 
-  /// Constraints containing variable v.
-  [[nodiscard]] const std::vector<std::int32_t>& constraints_of(VarId v) const {
-    return vadj_[static_cast<std::size_t>(v)];
+  /// Constraints containing variable v, in ascending row order.
+  [[nodiscard]] std::span<const std::int32_t> constraints_of(VarId v) const {
+    return {col_row_.data() + col_begin(v), col_len(v)};
+  }
+  /// Coefficient of v in each row of constraints_of(v), position by position.
+  [[nodiscard]] std::span<const double> coefs_of(VarId v) const {
+    return {col_coef_.data() + col_begin(v), col_len(v)};
+  }
+
+  /// Static range of row c: max_j |a_j| (ub_j - lb_j) over the model's
+  /// bounds; +inf when a term is unbounded (or the row's scale overflows).
+  /// Within the model box no single term can move the row's activity by
+  /// more than this.
+  [[nodiscard]] double row_range(int c) const {
+    return row_range_[static_cast<std::size_t>(c)];
+  }
+  /// Magnitude scale of row c: sum_j |a_j| max(|lb_j|, |ub_j|) over the
+  /// model's bounds, an upper bound on |activity| inside the model box.
+  [[nodiscard]] double row_scale(int c) const {
+    return row_scale_[static_cast<std::size_t>(c)];
   }
 
   /// Minimization objective (already sign-normalized); empty terms when the
@@ -83,10 +102,23 @@ class CompiledModel {
   }
 
  private:
+  [[nodiscard]] std::size_t col_begin(VarId v) const {
+    return static_cast<std::size_t>(col_start_[static_cast<std::size_t>(v)]);
+  }
+  [[nodiscard]] std::size_t col_len(VarId v) const {
+    return static_cast<std::size_t>(
+        col_start_[static_cast<std::size_t>(v) + 1] -
+        col_start_[static_cast<std::size_t>(v)]);
+  }
+
   std::vector<double> coef_;
   std::vector<VarId> var_;
   std::vector<CompiledConstraint> constraints_;
-  std::vector<std::vector<std::int32_t>> vadj_;
+  // Column CSR: the entries of variable v are [col_start_[v], col_start_[v+1]).
+  std::vector<std::int32_t> col_start_;
+  std::vector<std::int32_t> col_row_;
+  std::vector<double> col_coef_;
+  std::vector<double> row_range_, row_scale_;
   std::vector<VarType> types_;
   std::vector<double> lb_, ub_;
   std::vector<double> hints_;

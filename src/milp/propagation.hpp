@@ -7,6 +7,12 @@
 // fixpoint it subsumes unit propagation on the 0/1 structure of the temporal
 // partitioning model (uniqueness rows fix siblings to 0, temporal-order rows
 // prune partitions of successors, area/latency rows prune design points).
+//
+// Domains keeps every row's minimum and maximum activity up to date as bounds
+// move, so the propagator can dismiss a queued row in O(1) when its slack
+// exceeds the row's static range: no term can then tighten or conflict.
+// Rows that are not dismissed get the exact from-scratch pass, so the
+// tightenings (and derivation logs) do not depend on the maintained sums.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +24,11 @@
 
 namespace sparcs::milp {
 
-/// Current bounds of every variable plus an undo trail for backtracking.
+/// Current bounds of every variable plus an undo trail for backtracking, and
+/// the incrementally maintained activity range of every row.
 class Domains {
  public:
+  /// `model` must outlive the domains.
   explicit Domains(const CompiledModel& model);
 
   [[nodiscard]] double lb(VarId v) const { return lb_[static_cast<std::size_t>(v)]; }
@@ -45,14 +53,52 @@ class Domains {
   /// workers to seat a subproblem snapshot taken on another thread.
   void reset_to(const std::vector<double>& lb, const std::vector<double>& ub);
 
+  /// Minimum / maximum activity of row c over the current bounds, each bound
+  /// clamped into the model box, maintained incrementally. Only rows with a
+  /// finite CompiledModel::row_range() are tracked exactly; the others carry
+  /// no meaning.
+  [[nodiscard]] double min_activity(int c) const {
+    return act_[2 * static_cast<std::size_t>(c)];
+  }
+  [[nodiscard]] double max_activity(int c) const {
+    return act_[2 * static_cast<std::size_t>(c) + 1];
+  }
+  /// True while every bound lies inside the model box and every integer
+  /// variable's bounds are integral. Then the clamping above changes
+  /// nothing, and the maintained activities equal the true ones up to float
+  /// drift of at most kActivityDriftRel times the row's scale, which the
+  /// propagator's row-skip test relies on.
+  [[nodiscard]] bool bounds_regular() const { return irregular_bounds_ == 0; }
+
+  /// Relative bound (against CompiledModel::row_scale) on the drift of the
+  /// maintained activities: they are recomputed from scratch after every
+  /// kActivityRefreshUpdates row updates, each of which adds a rounding
+  /// error below 8 u scale (u = 2^-53), so the drift stays below
+  /// 2^20 * 8 * 2^-53 < 1e-9 of the scale; the constant leaves a 10x margin.
+  static constexpr double kActivityDriftRel = 1e-8;
+  static constexpr std::int64_t kActivityRefreshUpdates = std::int64_t{1} << 20;
+
  private:
   struct TrailEntry {
     VarId var;
     bool is_lb;
     double old_value;
   };
+  /// Accounts a bound of v moving from `from` to `to` in the activities.
+  void move_bound(VarId v, bool is_lb, double from, double to);
+  /// True when `x` is out of v's model box or fractional on an integer v.
+  [[nodiscard]] bool irregular(VarId v, double x) const;
+  void recompute_activities();
+
+  const CompiledModel* model_;
   std::vector<double> lb_, ub_;
   std::vector<TrailEntry> trail_;
+  /// act_[2c] / act_[2c+1]: min / max activity of row c.
+  std::vector<double> act_;
+  /// Current bounds for which irregular() holds.
+  std::int64_t irregular_bounds_ = 0;
+  /// Row updates since the activities were last recomputed.
+  std::int64_t updates_since_refresh_ = 0;
 };
 
 /// Statistics accumulated over propagate() calls.
@@ -83,6 +129,11 @@ class Propagator {
 
  private:
   bool process_constraint(int c, Domains& domains, PropagationStats& stats);
+  /// O(1) test: the row's slack on every side it constrains covers its
+  /// static range plus a drift margin, so the exact pass cannot tighten
+  /// anything nor find a conflict.
+  bool slack_covers_range(int c, const CompiledConstraint& cc, bool need_le,
+                          bool need_ge, const Domains& domains) const;
   void enqueue_var(VarId v);
   void enqueue_all();
 
@@ -91,7 +142,7 @@ class Propagator {
   int max_rounds_;
   DerivationLog* log_ = nullptr;
   std::vector<std::int32_t> queue_;
-  std::vector<bool> in_queue_;
+  std::vector<bool> in_queue_;  ///< all false between propagate() calls
 };
 
 }  // namespace sparcs::milp

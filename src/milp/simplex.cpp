@@ -54,8 +54,18 @@ class SimplexTableau {
   double& tab(int row, int col) { return tab_[static_cast<std::size_t>(row) * ncols_ + col]; }
   double tab(int row, int col) const { return tab_[static_cast<std::size_t>(row) * ncols_ + col]; }
   double nonbasic_value(int col) const;
+  /// Installs the phase's cost row and recomputes the reduced costs from
+  /// scratch; phase 1 prices the current bound violations.
   void set_phase(int phase);
-  double infeasibility_sum() const;
+  /// Phase-1 cost of a basic variable at value v: -1 below its lower bound,
+  /// +1 above its upper bound (by more than feasibility_tol), 0 inside.
+  double violation_cost(int col, double v) const;
+  /// Re-prices phase 1 after a step: nonbasic columns cost 0 and each basic
+  /// one costs its violation_cost(). Only rows whose cost changed patch the
+  /// reduced costs (one tableau row each). Updates violated_.
+  void reprice_phase1();
+  /// Sum of the bound violations of the basic variables.
+  double violation_sum() const;
   void extract(LpResult& result) const;
   /// False once roundoff has blown up: any non-finite basic value or reduced
   /// cost. Declaring optimality/infeasibility from such a state would be
@@ -70,8 +80,7 @@ class SimplexTableau {
   const LpProblem& problem_;
   int m_ = 0;         ///< number of rows
   int n_struct_ = 0;  ///< structural variables
-  int ncols_ = 0;     ///< structural + slack + artificial columns
-  int first_artificial_ = 0;
+  int ncols_ = 0;     ///< structural + slack columns
 
   std::vector<double> tab_;     ///< m x ncols dense tableau (B^-1 A)
   std::vector<double> xb_;      ///< value of the basic variable of each row
@@ -82,16 +91,14 @@ class SimplexTableau {
   std::vector<double> real_cost_;   ///< phase-2 objective
   std::vector<double> d_;           ///< reduced costs for current phase
   int phase_ = 1;
+  int violated_ = 0;  ///< phase 1: basic variables outside their bounds
   int iterations_ = 0;
   int pivots_ = 0;
   int refactorizations_ = 0;
 };
 
 void SimplexTableau::build(const LpProblem& problem) {
-  const int n_slack = m_;
-  const int n_art = m_;
-  ncols_ = n_struct_ + n_slack + n_art;
-  first_artificial_ = n_struct_ + n_slack;
+  ncols_ = n_struct_ + m_;
   SPARCS_REQUIRE(static_cast<std::int64_t>(m_) * ncols_ <=
                      params_.max_tableau_entries,
                  "LP too large for the dense simplex tableau");
@@ -123,10 +130,10 @@ void SimplexTableau::build(const LpProblem& problem) {
     }
   }
 
-  // Nonbasic statuses: every structural/slack column at its finite bound
-  // nearest zero (free columns pinned at zero).
-  stat_.assign(static_cast<std::size_t>(ncols_), ColStatus::kAtLower);
-  for (int j = 0; j < first_artificial_; ++j) {
+  // Nonbasic structurals: at their finite bound nearest zero (free columns
+  // pinned at zero).
+  stat_.assign(static_cast<std::size_t>(ncols_), ColStatus::kBasic);
+  for (int j = 0; j < n_struct_; ++j) {
     const double lo = lb_[j], hi = ub_[j];
     if (std::isfinite(lo) && std::isfinite(hi)) {
       stat_[j] = std::abs(lo) <= std::abs(hi) ? ColStatus::kAtLower
@@ -140,40 +147,23 @@ void SimplexTableau::build(const LpProblem& problem) {
     }
   }
 
-  // Tableau = [A | I_slack | +-I_art]; artificial signs chosen so the initial
-  // artificial basis has non-negative values.
+  // Tableau = [A | I]: the slack basis, with slack i at b_i - a_i.x_N. A
+  // slack may start outside its sense bounds; phase 1 prices that violation.
   tab_.assign(static_cast<std::size_t>(m_) * ncols_, 0.0);
-  std::vector<double> residual(static_cast<std::size_t>(m_), 0.0);
+  basis_.assign(static_cast<std::size_t>(m_), -1);
+  xb_.assign(static_cast<std::size_t>(m_), 0.0);
   for (int i = 0; i < m_; ++i) {
     const auto& row = problem.rows[static_cast<std::size_t>(i)];
+    double lhs = 0.0;
     for (const LinTerm& term : row.terms) {
       SPARCS_REQUIRE(term.var >= 0 && term.var < n_struct_,
                      "LP row references unknown variable");
       tab(i, term.var) += term.coef;
+      lhs += term.coef * nonbasic_value(term.var);
     }
-    tab(i, n_struct_ + i) = 1.0;  // slack
-    double lhs = 0.0;
-    for (int j = 0; j < n_struct_ + m_; ++j) {
-      if (tab(i, j) != 0.0) lhs += tab(i, j) * nonbasic_value(j);
-    }
-    residual[static_cast<std::size_t>(i)] = row.rhs - lhs;
-  }
-
-  basis_.assign(static_cast<std::size_t>(m_), -1);
-  xb_.assign(static_cast<std::size_t>(m_), 0.0);
-  for (int i = 0; i < m_; ++i) {
-    const int art = first_artificial_ + i;
-    const double r = residual[static_cast<std::size_t>(i)];
-    if (r < 0.0) {
-      // The artificial enters with coefficient -1; scale the row by -1 so the
-      // basis column is the identity (tableau rows must be B^-1 A).
-      double* row = &tab_[static_cast<std::size_t>(i) * ncols_];
-      for (int j = 0; j < ncols_; ++j) row[j] = -row[j];
-    }
-    tab(i, art) = 1.0;
-    basis_[static_cast<std::size_t>(i)] = art;
-    stat_[static_cast<std::size_t>(art)] = ColStatus::kBasic;
-    xb_[static_cast<std::size_t>(i)] = std::abs(r);
+    tab(i, n_struct_ + i) = 1.0;
+    basis_[static_cast<std::size_t>(i)] = n_struct_ + i;
+    xb_[static_cast<std::size_t>(i)] = row.rhs - lhs;
   }
 
   set_phase(1);
@@ -200,21 +190,50 @@ double SimplexTableau::nonbasic_value(int col) const {
 
 void SimplexTableau::set_phase(int phase) {
   phase_ = phase;
-  cost_.assign(static_cast<std::size_t>(ncols_), 0.0);
   if (phase == 1) {
-    for (int j = first_artificial_; j < ncols_; ++j) cost_[j] = 1.0;
+    // Start from the all-zero cost row (so d = 0) and let the re-pricing add
+    // every violated row.
+    cost_.assign(static_cast<std::size_t>(ncols_), 0.0);
+    d_.assign(static_cast<std::size_t>(ncols_), 0.0);
+    reprice_phase1();
   } else {
-    for (int j = 0; j < first_artificial_; ++j) cost_[j] = real_cost_[j];
-    // Artificials are pinned at zero for phase 2.
-    for (int j = first_artificial_; j < ncols_; ++j) {
-      lb_[j] = 0.0;
-      ub_[j] = 0.0;
-      if (stat_[static_cast<std::size_t>(j)] != ColStatus::kBasic) {
-        stat_[static_cast<std::size_t>(j)] = ColStatus::kAtLower;
-      }
+    cost_ = real_cost_;
+    compute_reduced_costs();
+  }
+}
+
+double SimplexTableau::violation_cost(int col, double v) const {
+  if (v < lb_[static_cast<std::size_t>(col)] - params_.feasibility_tol) {
+    return -1.0;
+  }
+  if (v > ub_[static_cast<std::size_t>(col)] + params_.feasibility_tol) {
+    return 1.0;
+  }
+  return 0.0;
+}
+
+void SimplexTableau::reprice_phase1() {
+  // d = c - c_B B^-1 A: a nonbasic cost change moves only its own d_j; a
+  // basic cost change by delta moves d by -delta times its tableau row.
+  for (int j = 0; j < ncols_; ++j) {
+    const std::size_t k = static_cast<std::size_t>(j);
+    if (stat_[k] != ColStatus::kBasic && cost_[k] != 0.0) {
+      d_[k] -= cost_[k];
+      cost_[k] = 0.0;
     }
   }
-  compute_reduced_costs();
+  violated_ = 0;
+  for (int i = 0; i < m_; ++i) {
+    const std::size_t b = static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)]);
+    const double c = violation_cost(static_cast<int>(b), xb_[static_cast<std::size_t>(i)]);
+    if (c != 0.0) ++violated_;
+    const double delta = c - cost_[b];
+    if (delta == 0.0) continue;
+    const double* row = &tab_[static_cast<std::size_t>(i) * ncols_];
+    for (int j = 0; j < ncols_; ++j) d_[static_cast<std::size_t>(j)] -= delta * row[j];
+    d_[b] = 0.0;
+    cost_[b] = c;
+  }
 }
 
 void SimplexTableau::compute_reduced_costs() {
@@ -283,7 +302,15 @@ bool SimplexTableau::iterate(int entering, bool* made_progress) {
     const double delta = -static_cast<double>(dir) * y;  // d(xB_i)/dt
     double limit;
     bool hits_upper;
-    if (delta < 0.0) {
+    if (phase_ == 1 && cost_[static_cast<std::size_t>(b)] != 0.0) {
+      // A violated basic blocks only at the violated bound it moves toward,
+      // and leaves there feasible; moving away from it never blocks.
+      const bool below = cost_[static_cast<std::size_t>(b)] < 0.0;
+      if (below != (delta > 0.0)) continue;
+      limit = below ? lb_[static_cast<std::size_t>(b)]
+                    : ub_[static_cast<std::size_t>(b)];
+      hits_upper = !below;
+    } else if (delta < 0.0) {
       limit = lb_[static_cast<std::size_t>(b)];
       if (!std::isfinite(limit)) continue;
       hits_upper = false;
@@ -378,12 +405,12 @@ bool SimplexTableau::state_is_finite() const {
   return true;
 }
 
-double SimplexTableau::infeasibility_sum() const {
+double SimplexTableau::violation_sum() const {
   double total = 0.0;
   for (int i = 0; i < m_; ++i) {
-    if (basis_[static_cast<std::size_t>(i)] >= first_artificial_) {
-      total += std::abs(xb_[static_cast<std::size_t>(i)]);
-    }
+    const std::size_t b = static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)]);
+    const double v = xb_[static_cast<std::size_t>(i)];
+    total += std::max({0.0, lb_[b] - v, v - ub_[b]});
   }
   return total;
 }
@@ -409,17 +436,18 @@ void SimplexTableau::extract(LpResult& result) const {
 }
 
 void SimplexTableau::attach_farkas(LpResult& result) {
-  // Phase-1 duals live in the slack reduced costs: slack k's column is
-  // D_k e_k (D the row-flip signs applied in build()), so with y = c_B B^-1,
-  // d_slack_k = 0 - y_k D_k, i.e. the multiplier of original row k is
-  // +-d_slack_k. Refresh first — the incrementally-updated cost row drifts.
+  // Phase-1 duals live in the slack columns: slack k's column is e_k, so with
+  // y = c_B B^-1, d_slack_k = cost_k - y_k, i.e. the multiplier of row k is
+  // cost_k - d_slack_k (cost_k is the slack's violation price when basic, 0
+  // when nonbasic). Refresh first — the incrementally-updated cost row drifts.
   compute_reduced_costs();
   ++refactorizations_;
   if (!state_is_finite()) return;
   std::vector<double> ray(static_cast<std::size_t>(m_));
   double scale = 0.0;
   for (int k = 0; k < m_; ++k) {
-    ray[static_cast<std::size_t>(k)] = d_[static_cast<std::size_t>(n_struct_ + k)];
+    const std::size_t slack = static_cast<std::size_t>(n_struct_ + k);
+    ray[static_cast<std::size_t>(k)] = cost_[slack] - d_[slack];
     scale = std::max(scale, std::abs(ray[static_cast<std::size_t>(k)]));
   }
   if (scale == 0.0) return;
@@ -507,7 +535,13 @@ LpResult SimplexTableau::run_phases() {
   }
   int stall = 0;
   int bland_run = 0;  ///< consecutive iterations under Bland's rule
-  for (phase_ = 1; phase_ <= 2;) {
+  for (;;) {
+    if (phase_ == 1 && violated_ == 0) {
+      // Every basic variable is inside its bounds: the basis is feasible.
+      set_phase(2);
+      stall = 0;
+      bland_run = 0;
+    }
     const bool bland = stall > params_.stall_threshold;
     if (bland) {
       // Bland's rule terminates in exact arithmetic; if it spins this long we
@@ -529,7 +563,7 @@ LpResult SimplexTableau::run_phases() {
         return result;
       }
       if (phase_ == 1) {
-        if (infeasibility_sum() > 1e3 * params_.feasibility_tol) {
+        if (violation_sum() > 1e3 * params_.feasibility_tol) {
           result.status = LpStatus::kInfeasible;
           result.iterations = iterations_;
           if (params_.want_certificate) attach_farkas(result);
@@ -558,6 +592,7 @@ LpResult SimplexTableau::run_phases() {
       if (phase_ == 1 && params_.want_certificate) attach_farkas(result);
       return result;
     }
+    if (phase_ == 1) reprice_phase1();
     stall = progress ? 0 : stall + 1;
     if (++iterations_ >= params_.max_iterations) {
       result.status = LpStatus::kIterationLimit;
@@ -572,7 +607,7 @@ LpResult SimplexTableau::run_phases() {
     }
     // Periodic refresh guards against accumulated roundoff in the cost row.
     if (iterations_ % 512 == 0) {
-      compute_reduced_costs();
+      set_phase(phase_);
       ++refactorizations_;
       if (!state_is_finite()) {
         result.status = LpStatus::kNumericalFailure;
@@ -581,9 +616,6 @@ LpResult SimplexTableau::run_phases() {
       }
     }
   }
-  result.status = LpStatus::kIterationLimit;
-  result.iterations = iterations_;
-  return result;
 }
 
 }  // namespace

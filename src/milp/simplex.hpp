@@ -3,11 +3,16 @@
 // Scope: the LP sizes this project needs are small-to-medium (the continuous
 // completion problems of the branch & bound are tiny; LP-relaxation bounding
 // is only enabled for models below a size threshold), so a dense full-tableau
-// method with Dantzig pricing, a Bland anti-cycling fallback and explicit
-// artificial variables is the robust, simple choice. Rows are converted to
-// equalities with a bounded slack; Phase 1 minimizes the sum of artificial
-// variables started from all structural/slack columns at their bound nearest
-// zero.
+// method with Dantzig pricing and a Bland anti-cycling fallback is the
+// robust, simple choice. Rows are converted to equalities with a bounded
+// slack, giving an m x (n + m) tableau [A | I]. Every solve starts from the
+// slack basis with the structurals at their bound nearest zero; a slack may
+// start outside its sense bounds. Phase 1 minimizes the sum of those bound
+// violations (a composite phase 1: each basic variable costs -1 below its
+// lower bound, +1 above its upper bound, 0 inside), so rows the start point
+// already satisfies cost no pivots. Phase 2 continues on the same tableau.
+// An infeasible verdict's Farkas ray is read off the phase-1 duals of the
+// slack columns.
 #pragma once
 
 #include <functional>
@@ -72,7 +77,7 @@ struct LpParams {
   std::function<bool()> should_abort;
 
   /// On an infeasible verdict, extract a Farkas dual ray from the phase-1
-  /// tableau into LpResult::certificate (best-effort: extraction can fail,
+  /// duals into LpResult::certificate (best-effort: extraction can fail,
   /// leaving Kind::kNone). Costs one reduced-cost refresh per infeasible
   /// solve and nothing on any other path.
   bool want_certificate = false;

@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "milp/certify.hpp"
 #include "milp/simplex.hpp"
+#include "support/rng.hpp"
 
 namespace sparcs::milp {
 namespace {
@@ -179,6 +187,213 @@ TEST(SimplexTest, MaximizationFlipReported) {
   const LpResult r = solve_lp(lp);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.objective, -4.0, kTol);  // minimized negation
+}
+
+TEST(SimplexTest, FeasibleStartPointNeedsNoPivots) {
+  // Every row holds at the start point (each variable at its bound nearest
+  // zero), so the slack basis is already feasible and optimal for the zero
+  // objective.
+  LpProblem lp;
+  const int x = lp.add_var(0.0, 0.0, 10.0);
+  const int y = lp.add_var(0.0, -1.0, 4.0);  // starts at -1
+  lp.add_row({{x, 1.0}, {y, 1.0}}, Sense::kLessEqual, 5.0);
+  lp.add_row({{x, 1.0}, {y, -1.0}}, Sense::kGreaterEqual, -3.0);
+  lp.add_row({{x, 1.0}, {y, 2.0}}, Sense::kEqual, -2.0);
+  const LpResult r = solve_lp(lp);
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  EXPECT_EQ(r.iterations, 0);
+  EXPECT_EQ(r.pivots, 0);
+  EXPECT_NEAR(r.x[0], 0.0, kTol);
+  EXPECT_NEAR(r.x[1], -1.0, kTol);
+}
+
+/// Independent reference for tiny bounded LPs: every vertex lies on n of
+/// the m + 2n hyperplanes (rows at equality, variables at a bound), so the
+/// optimum is the best feasible solution of those n x n systems. Returns
+/// nullopt when no vertex is feasible, i.e. the LP is infeasible (a
+/// nonempty bounded polyhedron has a vertex).
+std::optional<double> vertex_enumeration_optimum(const LpProblem& lp) {
+  const std::size_t n = lp.obj.size();
+  const std::size_t m = lp.rows.size();
+  // Hyperplane h: coefs[h] . x = rhs[h]; rows first, then the bounds.
+  std::vector<std::vector<double>> coefs;
+  std::vector<double> rhs;
+  for (const LpProblem::Row& row : lp.rows) {
+    std::vector<double> a(n, 0.0);
+    for (const LinTerm& t : row.terms) a[static_cast<std::size_t>(t.var)] += t.coef;
+    coefs.push_back(a);
+    rhs.push_back(row.rhs);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    for (const double bound : {lp.lb[j], lp.ub[j]}) {
+      std::vector<double> a(n, 0.0);
+      a[j] = 1.0;
+      coefs.push_back(a);
+      rhs.push_back(bound);
+    }
+  }
+  const std::size_t h = coefs.size();
+  std::optional<double> best;
+  // n-subsets of the h hyperplanes as increasing index tuples.
+  std::vector<std::size_t> pick(n);
+  for (std::size_t k = 0; k < n; ++k) pick[k] = k;
+  while (true) {
+    // Gauss-Jordan elimination with partial pivoting on [A | b].
+    std::vector<std::vector<double>> mat;
+    for (const std::size_t p : pick) {
+      mat.push_back(coefs[p]);
+      mat.back().push_back(rhs[p]);
+    }
+    bool singular = false;
+    for (std::size_t c = 0; c < n && !singular; ++c) {
+      std::size_t piv = c;
+      for (std::size_t r = c + 1; r < n; ++r) {
+        if (std::abs(mat[r][c]) > std::abs(mat[piv][c])) piv = r;
+      }
+      singular = std::abs(mat[piv][c]) < 1e-9;
+      if (singular) break;
+      std::swap(mat[c], mat[piv]);
+      for (std::size_t r = 0; r < n; ++r) {
+        if (r == c) continue;
+        const double f = mat[r][c] / mat[c][c];
+        for (std::size_t k = c; k <= n; ++k) mat[r][k] -= f * mat[c][k];
+      }
+    }
+    if (!singular) {
+      std::vector<double> x(n);
+      for (std::size_t j = 0; j < n; ++j) x[j] = mat[j][n] / mat[j][j];
+      bool feasible = true;
+      for (std::size_t j = 0; j < n; ++j) {
+        feasible = feasible && x[j] >= lp.lb[j] - 1e-9 && x[j] <= lp.ub[j] + 1e-9;
+      }
+      for (std::size_t i = 0; i < m && feasible; ++i) {
+        double act = 0.0;
+        for (std::size_t j = 0; j < n; ++j) act += coefs[i][j] * x[j];
+        switch (lp.rows[i].sense) {
+          case Sense::kLessEqual:
+            feasible = act <= rhs[i] + 1e-9;
+            break;
+          case Sense::kGreaterEqual:
+            feasible = act >= rhs[i] - 1e-9;
+            break;
+          case Sense::kEqual:
+            feasible = std::abs(act - rhs[i]) <= 1e-9;
+            break;
+        }
+      }
+      if (feasible) {
+        double obj = 0.0;
+        for (std::size_t j = 0; j < n; ++j) obj += lp.obj[j] * x[j];
+        if (!best || obj < *best) best = obj;
+      }
+    }
+    // Next subset in lexicographic order.
+    std::size_t k = n;
+    while (k > 0 && pick[k - 1] == h - n + (k - 1)) --k;
+    if (k == 0) break;
+    ++pick[k - 1];
+    for (std::size_t r = k; r < n; ++r) pick[r] = pick[r - 1] + 1;
+  }
+  return best;
+}
+
+/// Small integer data with negative right-hand sides and bounds, so the
+/// slack basis starts outside some rows, plus fixed variables.
+LpProblem random_tiny_lp(Rng& rng) {
+  LpProblem lp;
+  const int n = static_cast<int>(rng.uniform_int(1, 3));
+  const int m = static_cast<int>(rng.uniform_int(1, 4));
+  for (int j = 0; j < n; ++j) {
+    const double lo = static_cast<double>(rng.uniform_int(-3, 2));
+    const double hi = rng.uniform_int(0, 3) == 0
+                          ? lo  // fixed
+                          : lo + static_cast<double>(rng.uniform_int(1, 5));
+    lp.add_var(static_cast<double>(rng.uniform_int(-3, 3)), lo, hi);
+  }
+  for (int i = 0; i < m; ++i) {
+    std::vector<LinTerm> terms;
+    for (int j = 0; j < n; ++j) {
+      const auto a = rng.uniform_int(-3, 3);
+      if (a != 0) terms.push_back({j, static_cast<double>(a)});
+    }
+    if (terms.empty()) terms.push_back({0, 1.0});
+    static constexpr Sense kSenses[] = {Sense::kLessEqual,
+                                        Sense::kGreaterEqual, Sense::kEqual};
+    lp.add_row(std::move(terms), kSenses[rng.uniform_int(0, 2)],
+               static_cast<double>(rng.uniform_int(-6, 6)));
+  }
+  return lp;
+}
+
+/// The LP as a model, so its Farkas ray can go to the exact checker.
+Model model_of(const LpProblem& lp) {
+  Model model("tiny_lp");
+  for (int j = 0; j < lp.num_vars(); ++j) {
+    model.add_continuous(lp.lb[static_cast<std::size_t>(j)],
+                         lp.ub[static_cast<std::size_t>(j)],
+                         "x" + std::to_string(j));
+  }
+  for (int i = 0; i < lp.num_rows(); ++i) {
+    const LpProblem::Row& row = lp.rows[static_cast<std::size_t>(i)];
+    LinExpr lhs;
+    for (const LinTerm& t : row.terms) lhs += t.coef * LinExpr(t.var);
+    model.add_constraint(lhs, row.sense, row.rhs, "r" + std::to_string(i));
+  }
+  return model;
+}
+
+TEST(SimplexTest, MatchesVertexEnumerationOnRandomTinyLps) {
+  Rng rng(20260418);
+  int infeasible = 0;
+  int infeasible_start = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const LpProblem lp = random_tiny_lp(rng);
+    // Does some row reject the start point (each variable at its bound
+    // nearest zero)?
+    for (const LpProblem::Row& row : lp.rows) {
+      double act = 0.0;
+      for (const LinTerm& t : row.terms) {
+        const double lo = lp.lb[static_cast<std::size_t>(t.var)];
+        const double hi = lp.ub[static_cast<std::size_t>(t.var)];
+        act += t.coef * (std::abs(lo) <= std::abs(hi) ? lo : hi);
+      }
+      if ((row.sense != Sense::kGreaterEqual && act > row.rhs) ||
+          (row.sense != Sense::kLessEqual && act < row.rhs)) {
+        ++infeasible_start;
+        break;
+      }
+    }
+    const std::optional<double> reference = vertex_enumeration_optimum(lp);
+    LpParams params;
+    params.want_certificate = true;
+    const LpResult r = solve_lp(lp, params);
+    if (!reference) {
+      ++infeasible;
+      ASSERT_EQ(r.status, LpStatus::kInfeasible);
+      ASSERT_EQ(r.certificate.kind, LpCertificate::Kind::kFarkas);
+      InfeasibilityProof proof;
+      ProofNode leaf;
+      leaf.kind = ProofNode::Kind::kFarkas;
+      for (int i = 0; i < lp.num_rows(); ++i) leaf.rows.push_back(i);
+      leaf.y = r.certificate.y;
+      proof.nodes.push_back(leaf);
+      const CertifyCheck check = certify_infeasible(model_of(lp), proof);
+      EXPECT_TRUE(check.ok) << check.detail;
+      continue;
+    }
+    ASSERT_EQ(r.status, LpStatus::kOptimal);
+    EXPECT_NEAR(r.objective, *reference, 1e-6 * (1.0 + std::abs(*reference)));
+    for (int j = 0; j < lp.num_vars(); ++j) {
+      EXPECT_GE(r.x[static_cast<std::size_t>(j)],
+                lp.lb[static_cast<std::size_t>(j)] - kTol);
+      EXPECT_LE(r.x[static_cast<std::size_t>(j)],
+                lp.ub[static_cast<std::size_t>(j)] + kTol);
+    }
+  }
+  // The mix must exercise both verdicts and infeasible start points.
+  EXPECT_GE(infeasible, 40);
+  EXPECT_GE(infeasible_start, 100);
 }
 
 }  // namespace

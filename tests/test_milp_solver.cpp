@@ -216,13 +216,15 @@ TEST(MilpSolverTest, CheckerRejectsBadSolutions) {
 
 TEST(MilpSolverTest, SolverStatsArePopulated) {
   // solve_to_optimality turns on LP bounding, so the simplex must run and
-  // every layer of SolverStats has to be filled in.
+  // every layer of SolverStats has to be filled in. The LP starts from the
+  // slack basis at the origin; the covering row is what makes it pivot.
   Model m("stats");
   const VarId a = m.add_binary("a");
   const VarId b = m.add_binary("b");
   const VarId c = m.add_binary("c");
   m.add_constraint(3.0 * LinExpr(a) + 4.0 * LinExpr(b) + 2.0 * LinExpr(c) <=
                        6.0, "cap");
+  m.add_constraint(LinExpr(a) + LinExpr(b) + LinExpr(c) >= 1.0, "cover");
   m.set_objective(10.0 * LinExpr(a) + 13.0 * LinExpr(b) + 7.0 * LinExpr(c),
                   /*minimize=*/false);
   const MilpSolution s = Solver(m, optimality_params()).solve();

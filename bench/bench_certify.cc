@@ -61,7 +61,6 @@ CertifyMode mode_of(std::int64_t arg) {
 void BM_SolveFeasible(benchmark::State& state) {
   const Model m = knapsack_model(24, 7);
   SolverParams params = optimality_params();
-  params.num_threads = 1;
   params.certify = mode_of(state.range(0));
   MilpSolution s;
   for (auto _ : state) {
@@ -79,7 +78,6 @@ BENCHMARK(BM_SolveFeasible)->Unit(benchmark::kMillisecond)->Arg(0)->Arg(1)->Arg(
 void BM_SolveInfeasible(benchmark::State& state) {
   const Model m = parity_model(14);
   SolverParams params = optimality_params();
-  params.num_threads = 1;
   params.certify = mode_of(state.range(0));
   MilpSolution s;
   for (auto _ : state) {
@@ -97,7 +95,6 @@ BENCHMARK(BM_SolveInfeasible)->Unit(benchmark::kMillisecond)->Arg(0)->Arg(1)->Ar
 void BM_CertifyFeasibleCheck(benchmark::State& state) {
   const Model m = knapsack_model(24, 7);
   SolverParams params = optimality_params();
-  params.num_threads = 1;
   const MilpSolution s = Solver(m, params).solve();
   for (auto _ : state) {
     const CertifyCheck check = certify_feasible(m, s.values);
@@ -109,7 +106,6 @@ BENCHMARK(BM_CertifyFeasibleCheck)->Unit(benchmark::kMicrosecond);
 void BM_CertifyInfeasibleCheck(benchmark::State& state) {
   const Model m = parity_model(14);
   SolverParams params = optimality_params();
-  params.num_threads = 1;
   params.certify = CertifyMode::kFull;
   const MilpSolution s = Solver(m, params).solve();
   for (auto _ : state) {
@@ -127,7 +123,6 @@ void BM_ArSweep(benchmark::State& state) {
   const arch::Device dev = arch::custom("ar_dev", 200, 64, 50);
   core::RefinePartitionsParams params;
   params.budget.delta = 20.0;
-  params.budget.solver.num_threads = 1;
   params.budget.solver.certify = mode_of(state.range(0));
   core::RefinePartitionsResult r;
   for (auto _ : state) {

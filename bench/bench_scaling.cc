@@ -78,10 +78,9 @@ BENCHMARK(BM_FirstFeasibleWarmStart)
     ->Arg(48)
     ->Iterations(1);
 
-/// Worker-thread scaling of a single first-feasible query on a DCT-1024
-/// model (Arg = num_threads; 1 is the serial legacy search). Pairs with
-/// bench_milp's BM_BnbFirstFeasibleDct1024 for the 4-vs-1-thread target.
-void BM_FirstFeasibleThreadsDct1024(benchmark::State& state) {
+/// One first-feasible query on a 32-task synthetic graph at Rmax 1024, one
+/// partition above the minimum-area bound, model build included.
+void BM_FirstFeasibleSynthetic32(benchmark::State& state) {
   const graph::TaskGraph g = make_graph(32);
   const arch::Device dev = arch::custom("d", 1024, 4096, 100);
   const int n = core::min_area_partitions(g, dev) + 1;
@@ -91,18 +90,14 @@ void BM_FirstFeasibleThreadsDct1024(benchmark::State& state) {
                               core::min_latency(g, dev, n));
     milp::SolverParams params;
     params.time_limit_sec = 10.0;
-    params.num_threads = static_cast<int>(state.range(0));
     solution =
         milp::Solver(form.model(), milp::first_feasible_params(params)).solve();
   }
   state.counters["nodes"] = static_cast<double>(solution.nodes_explored);
   state.counters["feasible"] = solution.has_solution() ? 1 : 0;
 }
-BENCHMARK(BM_FirstFeasibleThreadsDct1024)
+BENCHMARK(BM_FirstFeasibleSynthetic32)
     ->Unit(benchmark::kMillisecond)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
     ->Iterations(1);
 
 void BM_FullPartitionerVsTasks(benchmark::State& state) {

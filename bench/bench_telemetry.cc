@@ -103,7 +103,6 @@ void BM_SolveTelemetryOff(benchmark::State& state) {
   telemetry::set_active(false);
   const milp::Model m = pick_model(24, 6);
   milp::SolverParams params = milp::first_feasible_params();
-  params.num_threads = 1;
   for (auto _ : state) {
     milp::MilpSolution s = milp::Solver(m, params).solve();
     benchmark::DoNotOptimize(s.status);
@@ -120,7 +119,6 @@ void BM_SolveTelemetryOn(benchmark::State& state) {
   telemetry::start_sampler(options);
   const milp::Model m = pick_model(24, 6);
   milp::SolverParams params = milp::first_feasible_params();
-  params.num_threads = 1;
   for (auto _ : state) {
     milp::MilpSolution s = milp::Solver(m, params).solve();
     benchmark::DoNotOptimize(s.status);

@@ -42,7 +42,6 @@ struct Arguments {
   int gamma = 1;
   double time_limit = 10.0;
   double deadline_sec = 0.0;  ///< whole-run wall deadline; 0 = none
-  int threads = 0;
   bool optimal = false;
   bool simulate = false;
   bool quiet = false;
@@ -177,10 +176,6 @@ Arguments parse_args(const std::vector<std::string>& args) {
     } else if (arg == "--deadline-sec") {
       parsed.deadline_sec = std::stod(value());
       SPARCS_REQUIRE(parsed.deadline_sec > 0.0, "--deadline-sec must be > 0");
-    } else if (arg == "--threads") {
-      parsed.threads = std::stoi(value());
-      SPARCS_REQUIRE(parsed.threads >= 0,
-                     "--threads must be >= 0 (0 = all hardware threads)");
     } else if (arg == "--optimal") {
       parsed.optimal = true;
     } else if (arg == "--simulate") {
@@ -440,7 +435,6 @@ struct ServeArguments {
   int queue_depth = 16;
   double memory_mb = 4096.0;
   std::string artifact_dir;
-  int threads_per_job = 1;
   bool quiet = false;
   std::optional<LogLevel> log_level;
 };
@@ -467,10 +461,6 @@ ServeArguments parse_serve_args(const std::vector<std::string>& args) {
       SPARCS_REQUIRE(parsed.memory_mb > 0.0, "--serve-memory-mb must be > 0");
     } else if (arg == "--serve-artifact-dir") {
       parsed.artifact_dir = value();
-    } else if (arg == "--serve-threads-per-job") {
-      parsed.threads_per_job = std::stoi(value());
-      SPARCS_REQUIRE(parsed.threads_per_job >= 0,
-                     "--serve-threads-per-job must be >= 0");
     } else if (arg == "--log-level") {
       parsed.log_level = parse_log_level(value());
     } else if (arg == "--quiet") {
@@ -497,7 +487,6 @@ int run_serve(const std::vector<std::string>& args, std::ostream& out,
   options.max_queue_depth = parsed.queue_depth;
   options.max_est_memory_mb = parsed.memory_mb;
   options.artifact_dir = parsed.artifact_dir;
-  options.threads_per_job = parsed.threads_per_job;
   options.stop = milp::CancelToken::create();
 
   // SIGINT/SIGTERM trip the server's stop token: the accept loop notices,
@@ -531,7 +520,6 @@ struct ClientArguments {
 ClientArguments parse_client_args(const std::vector<std::string>& args) {
   ClientArguments parsed;
   parsed.verb = args[0];
-  parsed.submit.threads = 0;  // server default unless --threads is given
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
     auto value = [&]() -> const std::string& {
@@ -566,8 +554,6 @@ ClientArguments parse_client_args(const std::vector<std::string>& args) {
       parsed.submit.time_limit_sec = std::stod(value());
     } else if (arg == "--deadline-sec") {
       parsed.submit.deadline_sec = std::stod(value());
-    } else if (arg == "--threads") {
-      parsed.submit.threads = std::stoi(value());
     } else if (arg == "--certify") {
       parsed.submit.certify = value();
     } else if (arg == "--no-checkpoint") {
@@ -685,8 +671,6 @@ options:
   --deadline-sec S           wall-clock deadline for the whole run; on expiry
                              the best incumbent so far is returned with a
                              degraded report (exit code 3)
-  --threads T                solver worker threads (0 = all hardware threads,
-                             1 = single-threaded legacy search; default 0)
   --certify MODE             exact-rational certificate checking of solver
                              verdicts: off (default), incumbents (every
                              reported design re-checked exactly), full
@@ -747,12 +731,11 @@ service (daemon):
   --serve-artifact-dir DIR   land per-job artifacts here (<job>.report.json,
                              <job>.ckpt, <job>.logs.jsonl); omit to keep
                              results in memory only
-  --serve-threads-per-job N  default solver threads per job (default 1)
 
 service (client verbs; all print the raw JSON response to stdout):
   submit {<graph.tg>|--workload W} [--priority N] [--detach] [--wait]
          [solve options: --rmax/--mmax/--ct/--delta/--alpha/--gamma/
-          --time-limit/--deadline-sec/--threads/--certify/--no-checkpoint/
+          --time-limit/--deadline-sec/--certify/--no-checkpoint/
           --est-memory-mb]
                              queue one job; --wait blocks for its terminal
                              result (a second response line) and exits with
@@ -852,7 +835,6 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     options.alpha = parsed.alpha;
     options.gamma = parsed.gamma;
     options.budget.solver.time_limit_sec = parsed.time_limit;
-    options.budget.solver.num_threads = parsed.threads;
     options.budget.solver.cancel = run_cancel;
     if (parsed.deadline_sec > 0.0) {
       options.budget.deadline =

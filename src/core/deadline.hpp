@@ -58,7 +58,7 @@ class Deadline {
 
 /// Background thread that requests cancellation through `token` when the
 /// deadline is missed by `grace_sec` — the backstop for a solve stuck past
-/// its clamped time limit (numerical stall, stuck worker). Destruction stops
+/// its clamped time limit (numerical stall, wedged search). Destruction stops
 /// the thread without firing. No thread is spawned for an inert deadline.
 class DeadlineWatchdog {
  public:

@@ -1,9 +1,6 @@
 #include "core/refine_partitions.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <memory>
-#include <thread>
 #include <utility>
 
 #include "core/bounds.hpp"
@@ -16,70 +13,6 @@
 #include "support/telemetry.hpp"
 
 namespace sparcs::core {
-namespace {
-
-/// A Reduce_Latency run for partition bound `n` launched on a worker thread
-/// while the sweep is still busy with `n - 1`. Its iterations go into a
-/// private trace buffer; the sweep either adopts them (when the launch-time
-/// window turns out to equal the one the serial sweep would have used) or
-/// cancels the run and discards the buffer. The destructor cancels and
-/// joins, so an unwinding sweep never leaks the worker.
-struct SpeculativeProbe {
-  int n = 0;
-  double d_max = 0.0;  ///< launch-time window upper bound (predicted Da)
-  milp::CancelToken cancel;
-  Trace trace;
-  ReduceLatencyResult result;
-  std::exception_ptr error;
-  std::thread thread;
-
-  ~SpeculativeProbe() { discard(); }
-
-  void join() {
-    if (thread.joinable()) thread.join();
-  }
-
-  void discard() {
-    cancel.request_cancel();
-    join();
-  }
-};
-
-std::unique_ptr<SpeculativeProbe> launch_speculative(
-    const graph::TaskGraph& graph, const arch::Device& device, int n,
-    double d_max, double d_min, const ReduceLatencyParams& inner) {
-  auto spec = std::make_unique<SpeculativeProbe>();
-  spec->n = n;
-  spec->d_max = d_max;
-  spec->cancel = milp::CancelToken::create();
-  ReduceLatencyParams params = inner;  // worker-private copy
-  params.budget.solver.cancel = spec->cancel;
-  // Speculative runs must not touch the durable sweep state: no progress
-  // snapshots (the serial sweep owns the checkpoint), and never a bisection
-  // resume (that state belongs to the stage the sweep re-enters inline).
-  params.on_progress = nullptr;
-  params.resume.reset();
-  spec->thread = std::thread([probe = spec.get(), &graph, &device, n, d_max,
-                              d_min, params = std::move(params)] {
-    try {
-      probe->result = reduce_latency(graph, device, n, d_max, d_min, params,
-                                     probe->trace);
-    } catch (...) {
-      probe->error = std::current_exception();
-    }
-  });
-  return spec;
-}
-
-/// Speculation needs a second execution lane: disabled when the solver is
-/// pinned to one thread or the machine only has one.
-bool speculation_enabled(const SearchBudget& budget) {
-  if (budget.solver.num_threads == 1) return false;
-  if (budget.solver.num_threads > 1) return true;
-  return std::thread::hardware_concurrency() > 1;
-}
-
-}  // namespace
 
 std::string to_string(StageStatus status) {
   switch (status) {
@@ -113,7 +46,6 @@ RefinePartitionsResult refine_partitions_bound(
   const int n_min_lower = min_area_partitions(graph, device);
   const int n_min_upper = max_area_partitions(graph, device);
   const int n_stop = n_min_upper + params.gamma;
-  const bool speculate = speculation_enabled(params.budget);
 
   // ---- checkpoint plumbing ----
   // `ckpt` is the evolving durable state: completed stages only, kept apart
@@ -197,8 +129,7 @@ RefinePartitionsResult refine_partitions_bound(
   };
 
   /// Appends the stage account for partition bound `n`: its solve count and
-  /// the solver wall time of the trace rows it appended (uniform across
-  /// inline and adopted speculative runs).
+  /// the solver wall time of the trace rows it appended.
   auto record_stage = [&](int stage_n, const ReduceLatencyResult& reduced,
                           std::size_t first_row) {
     StageAccount account;
@@ -222,30 +153,7 @@ RefinePartitionsResult refine_partitions_bound(
     }
   };
 
-  /// Folds a finished speculative run into the result as if the sweep had
-  /// run it inline. Valid only when its launch-time inputs match the ones
-  /// the serial sweep would use at this point.
-  auto adopt = [&](SpeculativeProbe& spec) -> ReduceLatencyResult {
-    spec.join();
-    if (spec.error) std::rethrow_exception(spec.error);
-    result.trace.insert(result.trace.end(), spec.trace.begin(),
-                        spec.trace.end());
-    result.ilp_solves += spec.result.ilp_solves;
-    result.solver_stats.merge(spec.result.solver_stats);
-    return std::move(spec.result);
-  };
-
   auto finish = [&] {
-    // Normalization rule: the trace is ordered by (N, iteration). Inline
-    // runs append in exactly that order and adopted buffers slot in at
-    // their N, so this is a stable no-op re-ordering that pins the
-    // determinism contract regardless of how probes were scheduled.
-    std::stable_sort(result.trace.begin(), result.trace.end(),
-                     [](const IterationRecord& a, const IterationRecord& b) {
-                       return a.num_partitions != b.num_partitions
-                                  ? a.num_partitions < b.num_partitions
-                                  : a.iteration < b.iteration;
-                     });
     // A stage interrupted mid-refinement — or stopped on an uncertified
     // verdict — degrades the result even when the sweep then terminated at
     // its natural end of range.
@@ -277,8 +185,6 @@ RefinePartitionsResult refine_partitions_bound(
     telemetry::set_stage("done", result.best_num_partitions);
   };
 
-  std::unique_ptr<SpeculativeProbe> spec;
-
   if (resume != nullptr && resume->complete) {
     // The interrupted run had already terminated naturally; the restored
     // globals and stage accounts ARE the final answer.
@@ -308,8 +214,6 @@ RefinePartitionsResult refine_partitions_bound(
   // N^l_min + alpha and incrementing while Reduce_Latency returns Da = 0.
   // Any design uses at most one partition per task, so feasibility is
   // settled once N reaches the task count: growing N further cannot help.
-  // Phase-1 windows depend only on N, so a speculative run for N+1 is
-  // always adoptable when the sweep reaches N+1.
   const int n_phase1_cap = std::min(
       params.max_partitions, std::max(graph.num_tasks(), n_stop));
   int n = n_min_lower + params.alpha;
@@ -328,25 +232,12 @@ RefinePartitionsResult refine_partitions_bound(
       telemetry::set_stage("phase1", n);
       arm_stage(n, /*phase=*/1);
       consume_mid_stage(n);
-      ReduceLatencyResult reduced;
       const std::size_t first_row = result.trace.size();
-      if (spec != nullptr && spec->n == n) {
-        reduced = adopt(*spec);
-        spec.reset();
-      } else {
-        spec.reset();
-        if (speculate && n + 1 <= n_phase1_cap && !time_expired()) {
-          spec = launch_speculative(graph, device, n + 1,
-                                    max_latency(graph, device, n + 1),
-                                    min_latency(graph, device, n + 1), inner);
-        }
-        const double d_max = max_latency(graph, device, n);
-        const double d_min = min_latency(graph, device, n);
-        reduced = reduce_latency(graph, device, n, d_max, d_min, inner,
-                                 result.trace);
-        result.ilp_solves += reduced.ilp_solves;
-        result.solver_stats.merge(reduced.solver_stats);
-      }
+      ReduceLatencyResult reduced =
+          reduce_latency(graph, device, n, max_latency(graph, device, n),
+                         min_latency(graph, device, n), inner, result.trace);
+      result.ilp_solves += reduced.ilp_solves;
+      result.solver_stats.merge(reduced.solver_stats);
       record_stage(n, reduced, first_row);
       if (reduced.best) {
         result.best = std::move(reduced.best);
@@ -354,14 +245,10 @@ RefinePartitionsResult refine_partitions_bound(
         result.best_num_partitions = n;
         telemetry::publish_best_latency(result.achieved_latency, n);
         checkpoint_stage_done(n, reduced.cut_short, /*phase=*/2);
-        // Any in-flight speculation used the phase-1 window for N+1; phase 2
-        // caps the window at Da instead, so the prediction cannot match.
-        spec.reset();
         break;
       }
       checkpoint_stage_done(n, reduced.cut_short, /*phase=*/1);
       if (time_expired()) {
-        spec.reset();
         result.degraded = true;
         mark_skipped(n + 1, n_stop);
         finish();
@@ -372,10 +259,7 @@ RefinePartitionsResult refine_partitions_bound(
   }
 
   // Phase 2: relax N looking for strictly better solutions; the achieved
-  // latency Da becomes the upper bound of every further search. The
-  // speculative run for N+1 predicts that N will not improve Da (the common
-  // case near the end of a sweep); when N does improve, the prediction is
-  // wrong, the run is cancelled, and N+1 is probed inline with the true Da.
+  // latency Da becomes the upper bound of every further search.
   while (n < n_stop && !time_expired()) {
     ++n;
     telemetry::set_stage("phase2", n);
@@ -391,30 +275,12 @@ RefinePartitionsResult refine_partitions_bound(
     // Seed the new partition bound with the incumbent design: it stays valid
     // when N grows and focuses the solver on local improvements.
     inner.warm_start = result.best;
-    ReduceLatencyResult reduced;
     const std::size_t first_row = result.trace.size();
-    if (spec != nullptr && spec->n == n &&
-        spec->d_max == result.achieved_latency) {
-      // Prediction held (the previous bound left Da — and therefore the
-      // warm start — unchanged): the speculative run saw exactly the
-      // serial sweep's inputs.
-      reduced = adopt(*spec);
-      spec.reset();
-    } else {
-      spec.reset();
-      if (speculate && n + 1 <= n_stop) {
-        const double d_min_next = min_latency(graph, device, n + 1);
-        if (d_min_next < result.achieved_latency) {
-          spec = launch_speculative(graph, device, n + 1,
-                                    result.achieved_latency, d_min_next,
-                                    inner);
-        }
-      }
-      reduced = reduce_latency(graph, device, n, result.achieved_latency,
-                               d_min, inner, result.trace);
-      result.ilp_solves += reduced.ilp_solves;
-      result.solver_stats.merge(reduced.solver_stats);
-    }
+    ReduceLatencyResult reduced =
+        reduce_latency(graph, device, n, result.achieved_latency, d_min, inner,
+                       result.trace);
+    result.ilp_solves += reduced.ilp_solves;
+    result.solver_stats.merge(reduced.solver_stats);
     record_stage(n, reduced, first_row);
     if (reduced.best &&
         reduced.achieved_latency < result.achieved_latency) {
@@ -425,7 +291,6 @@ RefinePartitionsResult refine_partitions_bound(
     }
     checkpoint_stage_done(n, reduced.cut_short, /*phase=*/2);
   }
-  spec.reset();
   if (!result.stopped_by_lower_bound && n < n_stop) {
     // The phase-2 loop gave up before its natural end of range: the budget
     // or deadline expired. Account the bounds that never ran.

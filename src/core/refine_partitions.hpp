@@ -7,13 +7,8 @@
 // stops early as soon as MinLatency(N) >= Da — for large reconfiguration
 // overheads that fires immediately after the first solution.
 //
-// With more than one solver thread available the sweep overlaps consecutive
-// partition bounds: while Reduce_Latency runs for N, the probe for N+1 is
-// launched speculatively on a worker thread and either adopted (when its
-// predicted inputs match what the serial sweep would have used) or cancelled
-// and re-run. Adopted runs recorded their iterations into a private buffer,
-// so the final trace is identical to the single-threaded sweep's; see
-// DESIGN.md ("Deterministic speculation").
+// The sweep is one sequence of Reduce_Latency calls on the calling thread, in
+// N order, so the trace lists every SolveModel() call in the order it ran.
 #pragma once
 
 #include <cstdint>

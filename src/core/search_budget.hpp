@@ -22,7 +22,7 @@ struct SearchBudget {
   /// time limit is clamped to the remaining budget via clamped_solver(), so
   /// an expired deadline unwinds from inside a solve, not just between them.
   Deadline deadline;
-  /// Per-SolveModel limits, thread count and cancellation token.
+  /// Per-SolveModel limits and cancellation token.
   milp::SolverParams solver;
   FormulationOptions formulation;
 

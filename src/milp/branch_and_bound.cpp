@@ -1,14 +1,9 @@
 #include "milp/branch_and_bound.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <exception>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <new>
 #include <thread>
 #include <utility>
@@ -27,362 +22,11 @@
 namespace sparcs::milp {
 namespace {
 
-/// Position of a subproblem in the depth-first order of the full tree: the
-/// branch indices (trial order within each frame) leading from the root to
-/// the subproblem. std::vector's lexicographic compare gives exactly the DFS
-/// order, with a prefix ordering before its extensions (an ancestor region
-/// still contains leaves on both sides of any of its descendants).
-using Rank = std::vector<std::int32_t>;
-
-/// Hard cap on recorded infeasibility-proof nodes (per worker and for the
-/// merged proof). Past it the proof is flagged overflowed — the exact checker
-/// refuses it and the verdict honestly stays uncertified — instead of letting
-/// a pathological search exhaust memory on bookkeeping.
+/// Hard cap on recorded infeasibility-proof nodes. Past it the proof is
+/// flagged overflowed — the exact checker refuses it and the verdict honestly
+/// stays uncertified — instead of letting a pathological search exhaust
+/// memory on bookkeeping.
 constexpr std::size_t kMaxProofNodes = 200'000;
-
-/// One donated unit of work: a bounds box (the donor's propagation fixpoint
-/// plus one untried branch) and the variable whose bound changed, so the
-/// receiving worker can re-run seeded propagation exactly as the donor's
-/// serial search would have.
-struct Subproblem {
-  Rank rank;
-  std::vector<double> lb, ub;
-  VarId seed = -1;  ///< -1: root subproblem (full propagation)
-  /// Telemetry search-tree id of the donor node (-1: no recording / root),
-  /// so donated subtrees attach to their real parent in the dump.
-  std::int64_t tree_parent = -1;
-};
-
-/// Shared state of one multi-threaded solve: the rank-ordered subproblem
-/// pool, the incumbent/candidate, global limits, and termination detection.
-class ParallelContext {
- public:
-  ParallelContext(const SolverParams& params, const BnbCallbacks& callbacks,
-                  bool first_feasible_mode, bool objective_flipped,
-                  int num_workers)
-      : params_(params),
-        callbacks_(callbacks),
-        first_feasible_mode_(first_feasible_mode),
-        objective_flipped_(objective_flipped),
-        hungry_below_(2 * num_workers),
-        live_(callbacks.live) {}
-
-  Stopwatch stopwatch;
-
-  // ---- Subproblem pool --------------------------------------------------
-
-  void push(Subproblem&& node) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // A candidate already beats every leaf of this subtree: drop it.
-      if (have_candidate_ && node.rank > candidate_rank_) return;
-      Rank key = node.rank;
-      pool_.emplace(std::move(key), std::move(node));
-      pool_size_.store(static_cast<int>(pool_.size()),
-                       std::memory_order_relaxed);
-    }
-    cv_.notify_one();
-  }
-
-  /// Hands out the rank-smallest open subproblem. Blocks while the pool is
-  /// empty but other workers may still donate; returns false once the solve
-  /// is over (pool drained and all workers idle, limits hit, or stopped).
-  bool acquire(Subproblem& out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      if (stop_requested_.load(std::memory_order_relaxed) ||
-          global_limits_hit()) {
-        return false;
-      }
-      if (!pool_.empty()) {
-        out = std::move(pool_.begin()->second);
-        pool_.erase(pool_.begin());
-        pool_size_.store(static_cast<int>(pool_.size()),
-                         std::memory_order_relaxed);
-        ++active_;
-        return true;
-      }
-      if (active_ == 0) return false;
-      cv_.wait(lock);
-    }
-  }
-
-  /// Declares the previously acquired subproblem finished.
-  void release() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-    }
-    // Waiters must re-check the exit condition even when no work appeared.
-    cv_.notify_all();
-  }
-
-  /// True when workers should donate untried branches into the pool.
-  [[nodiscard]] bool hungry() const {
-    return pool_size_.load(std::memory_order_relaxed) < hungry_below_;
-  }
-
-  /// Open-subproblem estimate for live telemetry (pool only; per-worker DFS
-  /// stacks are not counted — this is a progress indicator, not an exact
-  /// frontier size).
-  [[nodiscard]] std::int64_t open_estimate() const {
-    return pool_size_.load(std::memory_order_relaxed);
-  }
-
-  /// Merged incumbent timeline of this solve (call after workers joined).
-  [[nodiscard]] std::vector<ConvergenceEvent>&& take_convergence() {
-    return std::move(convergence_);
-  }
-
-  // ---- Limits -----------------------------------------------------------
-
-  void count_node() { total_nodes_.fetch_add(1, std::memory_order_relaxed); }
-
-  [[nodiscard]] std::int64_t total_nodes() const {
-    return total_nodes_.load(std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] bool global_limits_hit() {
-    return stop_requested_.load(std::memory_order_relaxed) ||
-           budget_limits_hit();
-  }
-
-  /// True once a budget or cancellation has stopped the run. The first hit
-  /// is latched, so every worker winds down and the final status mapping
-  /// reads the cause recorded when the search stopped: a cancel that is
-  /// reset in between cannot make a cut-short search look exhausted. The
-  /// timeout failpoint fires here — the shared check every worker consults
-  /// — so an injected timeout is classified exactly like a real one.
-  bool budget_limits_hit() {
-    if (limit_stopped_.load(std::memory_order_relaxed)) return true;
-    const bool hit = SPARCS_FAILPOINT("milp.solve.timeout") ||
-                     total_nodes_.load(std::memory_order_relaxed) >=
-                         params_.node_limit ||
-                     params_.cancel.cancelled() ||
-                     callbacks_.session_cancel.cancelled() ||
-                     stopwatch.seconds() >= params_.time_limit_sec;
-    if (hit) limit_stopped_.store(true, std::memory_order_relaxed);
-    return hit;
-  }
-
-  /// True when a budget or cancellation stopped the run (the latch above).
-  [[nodiscard]] bool limit_stopped() const {
-    return limit_stopped_.load(std::memory_order_relaxed);
-  }
-
-  /// Records that a worker stopped on a limit at DFS position `rank`, so
-  /// the tree from `rank` on was not fully explored.
-  void note_abandoned(const Rank& rank) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!have_abandoned_ || rank < abandoned_rank_) {
-      have_abandoned_ = true;
-      abandoned_rank_ = rank;
-    }
-  }
-
-  /// True when the first-feasible candidate is the DFS-first feasible leaf,
-  /// i.e. no subproblem ranked before it was abandoned or left in the pool
-  /// (call after workers joined). Only then may a cut-short run return it:
-  /// the serial search would not have reached any later leaf.
-  [[nodiscard]] bool candidate_precedes_abandoned() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (have_abandoned_ && !(candidate_rank_ < abandoned_rank_)) return false;
-    return pool_.empty() || candidate_rank_ < pool_.begin()->first;
-  }
-
-  void request_stop() {
-    stop_requested_.store(true, std::memory_order_relaxed);
-    cv_.notify_all();
-  }
-
-  void flag_unbounded() {
-    unbounded_.store(true, std::memory_order_relaxed);
-    request_stop();
-  }
-
-  [[nodiscard]] bool unbounded() const {
-    return unbounded_.load(std::memory_order_relaxed);
-  }
-
-  /// Marks the search as incomplete: some subtree was abandoned for a
-  /// numerical/allocation reason, so an exhausted tree no longer proves
-  /// infeasibility or optimality.
-  void flag_incomplete() {
-    incomplete_.store(true, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] bool incomplete() const {
-    return incomplete_.load(std::memory_order_relaxed);
-  }
-
-  // ---- First-feasible candidates ----------------------------------------
-  // In first-feasible (and pure-feasibility) mode the winner is the
-  // rank-smallest feasible leaf, which is exactly the solution the serial
-  // DFS returns; acceptance is therefore by rank, not by arrival time.
-
-  [[nodiscard]] std::uint64_t candidate_version() const {
-    return candidate_version_.load(std::memory_order_acquire);
-  }
-
-  /// Copies the current best candidate rank; false when none exists yet.
-  bool copy_candidate_rank(Rank* out) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!have_candidate_) return false;
-    *out = candidate_rank_;
-    return true;
-  }
-
-  /// Offers a feasible leaf; keeps it only when it precedes the current
-  /// candidate in DFS order. Prunes now-beaten pool entries either way.
-  bool offer_candidate(Rank rank, std::vector<double>&& values, double obj) {
-    IncumbentEvent event;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (have_candidate_ && !(rank < candidate_rank_)) return false;
-      have_candidate_ = true;
-      candidate_rank_ = std::move(rank);
-      candidate_values_ = std::move(values);
-      candidate_obj_ = obj;
-      candidate_version_.fetch_add(1, std::memory_order_release);
-      pool_.erase(pool_.upper_bound(candidate_rank_), pool_.end());
-      pool_size_.store(static_cast<int>(pool_.size()),
-                       std::memory_order_relaxed);
-      record_convergence_locked(obj);
-      if (!callbacks_.on_incumbent) return true;
-      event.objective = objective_flipped_ ? -obj : obj;
-      event.values = &candidate_values_;
-      event.nodes_explored = total_nodes();
-      callbacks_.on_incumbent(event);
-    }
-    return true;
-  }
-
-  [[nodiscard]] bool has_candidate() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return have_candidate_;
-  }
-
-  // ---- Shared incumbent (optimality mode) --------------------------------
-
-  [[nodiscard]] double shared_best() const {
-    return best_obj_.load(std::memory_order_relaxed);
-  }
-
-  /// Offers an improving incumbent (minimized-space objective). Ties on the
-  /// objective are broken toward the DFS-smaller rank so repeated runs
-  /// converge to the same solution where timing allows.
-  bool offer_incumbent(Rank rank, std::vector<double>&& values, double obj) {
-    IncumbentEvent event;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (have_incumbent_ &&
-          (obj > incumbent_obj_ ||
-           (obj == incumbent_obj_ && !(rank < candidate_rank_)))) {
-        return false;
-      }
-      have_incumbent_ = true;
-      incumbent_obj_ = obj;
-      candidate_rank_ = std::move(rank);
-      candidate_values_ = std::move(values);
-      best_obj_.store(obj, std::memory_order_relaxed);
-      record_convergence_locked(obj);
-      if (!callbacks_.on_incumbent) return true;
-      event.objective = objective_flipped_ ? -obj : obj;
-      event.values = &candidate_values_;
-      event.nodes_explored = total_nodes();
-      callbacks_.on_incumbent(event);
-    }
-    return true;
-  }
-
-  // ---- Infeasibility-proof fragments -------------------------------------
-  // Workers deposit their recorded proof nodes here on exit; ranks never
-  // collide because the pool hands every subproblem to exactly one worker
-  // and each worker's DFS enters each of its ranks once.
-
-  void contribute_proof(std::vector<ProofNode>&& nodes, bool overflowed) {
-    std::lock_guard<std::mutex> lock(mu_);
-    proof_overflowed_ = proof_overflowed_ || overflowed ||
-                        proof_nodes_.size() + nodes.size() > kMaxProofNodes;
-    if (!proof_overflowed_) {
-      proof_nodes_.insert(proof_nodes_.end(),
-                          std::make_move_iterator(nodes.begin()),
-                          std::make_move_iterator(nodes.end()));
-    }
-  }
-
-  /// Stitches the fragments into one proof (call after workers joined).
-  [[nodiscard]] std::shared_ptr<const InfeasibilityProof> take_proof() {
-    auto proof = std::make_shared<InfeasibilityProof>();
-    proof->nodes = std::move(proof_nodes_);
-    proof->overflowed = proof_overflowed_;
-    return proof;
-  }
-
-  // ---- Result extraction (single-threaded, after join) -------------------
-
-  [[nodiscard]] bool have_solution() const {
-    return have_candidate_ || have_incumbent_;
-  }
-  [[nodiscard]] std::vector<double>&& take_values() {
-    return std::move(candidate_values_);
-  }
-  [[nodiscard]] double solution_objective() const {
-    return first_feasible_mode_ ? candidate_obj_ : incumbent_obj_;
-  }
-  [[nodiscard]] bool first_feasible_mode() const {
-    return first_feasible_mode_;
-  }
-
- private:
-  /// Appends an accepted incumbent (minimized-space objective `obj`) to the
-  /// solve's timeline and publishes it to the live telemetry slot. Caller
-  /// holds mu_, which keeps the timeline time-ordered across workers.
-  void record_convergence_locked(double obj) {
-    const double caller_obj = objective_flipped_ ? -obj : obj;
-    convergence_.push_back({stopwatch.seconds(), caller_obj, total_nodes(),
-                            ConvergenceEvent::Kind::kIncumbent});
-    if (live_ != nullptr) {
-      live_->incumbent.store(caller_obj, std::memory_order_relaxed);
-      live_->has_incumbent.store(true, std::memory_order_relaxed);
-      live_->incumbent_updates.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  const SolverParams& params_;
-  const BnbCallbacks& callbacks_;
-  const bool first_feasible_mode_;
-  const bool objective_flipped_;
-  const int hungry_below_;
-  telemetry::LiveSolve* const live_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<Rank, Subproblem> pool_;
-  int active_ = 0;
-  std::atomic<int> pool_size_{0};
-  std::atomic<std::int64_t> total_nodes_{0};
-  std::atomic<bool> stop_requested_{false};
-  std::atomic<bool> unbounded_{false};
-  std::atomic<bool> incomplete_{false};
-  std::atomic<bool> limit_stopped_{false};
-  bool have_abandoned_ = false;  ///< under mu_
-  Rank abandoned_rank_;          ///< under mu_; smallest abandoned position
-
-  // Candidate (first-feasible mode) / incumbent (optimality mode); both use
-  // candidate_rank_/candidate_values_ for storage.
-  bool have_candidate_ = false;
-  bool have_incumbent_ = false;
-  Rank candidate_rank_;
-  std::vector<double> candidate_values_;
-  double candidate_obj_ = 0.0;
-  double incumbent_obj_ = kInfinity;
-  std::atomic<double> best_obj_{kInfinity};
-  std::atomic<std::uint64_t> candidate_version_{0};
-  std::vector<ConvergenceEvent> convergence_;  ///< under mu_
-  std::vector<ProofNode> proof_nodes_;         ///< under mu_
-  bool proof_overflowed_ = false;              ///< under mu_
-};
 
 /// One open decision in the DFS stack.
 struct Frame {
@@ -396,10 +40,9 @@ struct Frame {
 class BnbSearch {
  public:
   BnbSearch(const Model& model, const SolverParams& params,
-            const BnbCallbacks& callbacks, ParallelContext* ctx = nullptr)
+            const BnbCallbacks& callbacks)
       : params_(params),
         callbacks_(callbacks),
-        ctx_(ctx),
         compiled_(model, /*with_objective_cutoff=*/model.has_objective()),
         domains_(compiled_),
         propagator_(compiled_, params.feasibility_tol,
@@ -411,14 +54,7 @@ class BnbSearch {
     if (proof_on_) propagator_.set_log(&prop_log_);
   }
 
-  /// Single-threaded entry point (ctx == nullptr).
   MilpSolution run();
-
-  /// Worker entry point: drains the shared pool until the solve is over.
-  void run_worker();
-
-  /// Totals of this worker, finalized by run_worker().
-  [[nodiscard]] const SolverStats& worker_stats() const { return stats_; }
 
  private:
   /// First unfixed integral variable in branch-priority order, or -1.
@@ -433,7 +69,6 @@ class BnbSearch {
   /// Handles a fully integral node. Returns true when the search must stop.
   bool handle_leaf(MilpSolution& result);
   void record_incumbent(std::vector<double> values, MilpSolution& result);
-  void worker_record(std::vector<double> values, double obj);
   /// True when a budget or cancellation stops the search; the first hit is
   /// latched (limit_stopped_) and decides the final status.
   bool limits_hit();
@@ -448,29 +83,16 @@ class BnbSearch {
   void mark_incomplete();
   void export_stats(MilpSolution& result);
   void search_loop(MilpSolution& result);
-  void donate_siblings(Frame& frame);
-  void sync_shared_incumbent();
-  /// Pushes per-worker node/LP-iteration deltas and the open-node count into
+  /// Pushes node/LP-iteration deltas and the open-node count into
   /// the live telemetry slot (called every kLivePublishPeriod nodes).
   void publish_live();
   /// Solves one root LP with the true objective and publishes the resulting
   /// dual bound to the live slot and the convergence timeline. Only runs
   /// while a live telemetry slot is attached (costs one extra LP).
   void publish_root_bound();
-  bool position_pruned();
-  bool first_feasible_mode() const {
-    return params_.stop_at_first_feasible ||
-           compiled_.objective_terms().empty();
-  }
 
   // ---- Infeasibility-proof recording (active when certify == kFull) ------
 
-  /// This worker's DFS position, the rank of the node being processed.
-  [[nodiscard]] Rank current_rank() const {
-    Rank rank = base_rank_;
-    rank.insert(rank.end(), path_.begin(), path_.end());
-    return rank;
-  }
   /// Appends a proof node (respecting the size cap).
   void record_proof_node(ProofNode&& node) {
     if (!proof_on_) return;
@@ -493,12 +115,13 @@ class BnbSearch {
     pending_derivations_ = std::move(prop_log_.derivations);
     prop_log_.clear();
   }
-  /// Records the refutation of a node whose entry propagate() failed, using
-  /// the partial derivation trace plus the conflict the log captured.
-  void record_conflict_leaf(Rank rank) {
+  /// Records the refutation of the current node, whose entry propagate()
+  /// failed, using the partial derivation trace plus the conflict the log
+  /// captured.
+  void record_conflict_leaf() {
     if (!proof_on_) return;
     ProofNode node;
-    node.rank = std::move(rank);
+    node.rank = path_;
     node.kind = ProofNode::Kind::kConflict;
     node.derivations = std::move(prop_log_.derivations);
     node.conflict_row = prop_log_.conflict_row;
@@ -518,7 +141,7 @@ class BnbSearch {
   void record_lp_leaf() {
     if (!proof_on_) return;
     ProofNode node;
-    node.rank = current_rank();
+    node.rank = path_;
     node.derivations = take_pending_derivations();
     switch (lp_cert_.kind) {
       case LpCertificate::Kind::kFarkas:
@@ -546,7 +169,7 @@ class BnbSearch {
     pending_derivations_.clear();
     prop_log_.clear();
   }
-  /// Hands the recorded tree to an infeasible serial result (no-op on any
+  /// Hands the recorded tree to an infeasible result (no-op on any
   /// other status, where the nodes are dead weight).
   void attach_proof(MilpSolution& result) {
     if (!proof_on_ || result.status != SolveStatus::kInfeasible) return;
@@ -558,7 +181,6 @@ class BnbSearch {
 
   const SolverParams& params_;
   BnbCallbacks callbacks_;
-  ParallelContext* ctx_ = nullptr;
   CompiledModel compiled_;
   Domains domains_;
   Propagator propagator_;
@@ -568,12 +190,9 @@ class BnbSearch {
   SolverStats stats_;
   std::vector<Frame> stack_;
   /// Branch index applied at each stack frame (-1 until the frame applies
-  /// its first branch); base_rank_ ++ path_ is this worker's DFS position.
+  /// its first branch): the DFS position of the node being processed, which
+  /// is also its rank in the infeasibility proof.
   std::vector<std::int32_t> path_;
-  Rank base_rank_;
-  std::uint64_t seen_candidate_version_ = ~std::uint64_t{0};
-  Rank candidate_rank_copy_;
-  bool have_candidate_copy_ = false;
   std::vector<double> incumbent_;
   double incumbent_obj_ = kInfinity;
   bool have_incumbent_ = false;
@@ -585,17 +204,13 @@ class BnbSearch {
   /// True when the search stopped because allocation failures exhausted the
   /// retry budget (distinguishes this stop_ from a record_incumbent stop).
   bool alloc_stop_ = false;
-  /// Serial search: latched by limits_hit() when a budget or cancellation
-  /// stopped the search (parallel workers latch in the ParallelContext).
+  /// Latched by limits_hit() when a budget or cancellation stopped the
+  /// search.
   bool limit_stopped_ = false;
 
   // -- telemetry (all inert unless live_ / tree_on_ are set) ---------------
   telemetry::LiveSolve* live_ = nullptr;  ///< live slot; null = off
   const bool tree_on_;                    ///< cached once per search
-  /// Search-tree parent of this (sub)tree's base node.
-  std::int64_t tree_parent_ = -1;
-  /// Id of the node whose frame is currently being built (donation parent).
-  std::int64_t current_node_id_ = -1;
   /// Owner node id of each open frame; parallel to stack_ while tree_on_.
   std::vector<std::int64_t> frame_node_ids_;
   /// Branch applied to enter the node about to descend (-1: root).
@@ -603,7 +218,7 @@ class BnbSearch {
   double last_branch_lo_ = 0.0;
   double last_branch_hi_ = 0.0;
   /// High-water marks of what was already pushed into live_ (deltas only,
-  /// so per-worker counters aggregate correctly across threads).
+  /// so the distrust re-solve adds to the first attempt's counts).
   std::int64_t live_pub_nodes_ = 0;
   std::int64_t live_pub_lp_iters_ = 0;
 
@@ -847,10 +462,7 @@ LpParams BnbSearch::node_lp_params() {
   return lp;
 }
 
-void BnbSearch::mark_incomplete() {
-  incomplete_ = true;
-  if (ctx_ != nullptr) ctx_->flag_incomplete();
-}
+void BnbSearch::mark_incomplete() { incomplete_ = true; }
 
 void BnbSearch::publish_live() {
   if (live_ == nullptr) return;
@@ -860,10 +472,8 @@ void BnbSearch::publish_live() {
       stats_.simplex_iterations - live_pub_lp_iters_,
       std::memory_order_relaxed);
   live_pub_lp_iters_ = stats_.simplex_iterations;
-  live_->open_nodes.store(
-      ctx_ != nullptr ? ctx_->open_estimate()
-                      : static_cast<std::int64_t>(stack_.size()),
-      std::memory_order_relaxed);
+  live_->open_nodes.store(static_cast<std::int64_t>(stack_.size()),
+                          std::memory_order_relaxed);
 }
 
 void BnbSearch::publish_root_bound() {
@@ -920,10 +530,6 @@ void BnbSearch::record_incumbent(std::vector<double> values,
   for (const LinTerm& t : compiled_.objective_terms()) {
     obj += t.coef * values[static_cast<std::size_t>(t.var)];
   }
-  if (ctx_ != nullptr) {
-    worker_record(std::move(values), obj);
-    return;
-  }
   if (have_incumbent_ && obj >= incumbent_obj_) return;
   drop_proof_recording();  // a feasible point rules out an infeasible verdict
   incumbent_ = std::move(values);
@@ -960,84 +566,16 @@ void BnbSearch::record_incumbent(std::vector<double> values,
   }
 }
 
-void BnbSearch::worker_record(std::vector<double> values, double obj) {
-  // Whether or not this offer wins the race, some worker holds a feasible
-  // point, so the solve can no longer end kInfeasible: stop recording.
-  drop_proof_recording();
-  Rank leaf = base_rank_;
-  leaf.insert(leaf.end(), path_.begin(), path_.end());
-  if (first_feasible_mode()) {
-    if (ctx_->offer_candidate(std::move(leaf), std::move(values), obj)) {
-      ++stats_.incumbent_updates;
-    }
-    // Every remaining leaf of this subproblem follows the one just found in
-    // DFS order, so whether or not the offer won, this subtree is done.
-    stop_ = true;
-    return;
-  }
-  if (have_incumbent_ && obj >= incumbent_obj_) return;
-  if (ctx_->offer_incumbent(std::move(leaf), std::move(values), obj)) {
-    ++stats_.incumbent_updates;
-    incumbent_obj_ = obj;
-    have_incumbent_ = true;
-    if (compiled_.has_cutoff_row()) {
-      compiled_.set_cutoff(incumbent_obj_ - params_.objective_improvement);
-    }
-  } else {
-    sync_shared_incumbent();  // someone else got there first
-  }
-}
-
-void BnbSearch::sync_shared_incumbent() {
-  if (first_feasible_mode()) return;
-  const double best = ctx_->shared_best();
-  if (best < incumbent_obj_) {
-    incumbent_obj_ = best;
-    have_incumbent_ = true;
-    if (compiled_.has_cutoff_row()) {
-      compiled_.set_cutoff(incumbent_obj_ - params_.objective_improvement);
-    }
-  }
-}
-
 bool BnbSearch::cancel_requested() const {
   return params_.cancel.cancelled() || callbacks_.session_cancel.cancelled();
 }
 
 bool BnbSearch::limits_hit() {
-  if (ctx_ != nullptr) return ctx_->global_limits_hit();
   if (limit_stopped_) return true;
   limit_stopped_ = SPARCS_FAILPOINT("milp.solve.timeout") ||
                    cancel_requested() || nodes_ >= params_.node_limit ||
                    stopwatch_.seconds() >= params_.time_limit_sec;
   return limit_stopped_;
-}
-
-bool BnbSearch::position_pruned() {
-  const std::uint64_t version = ctx_->candidate_version();
-  if (version != seen_candidate_version_) {
-    seen_candidate_version_ = version;
-    have_candidate_copy_ = ctx_->copy_candidate_rank(&candidate_rank_copy_);
-  }
-  if (!have_candidate_copy_) return false;
-  // DFS never revisits earlier ranks, so once this worker's position passes
-  // the candidate every leaf it could still reach is DFS-later: abandon.
-  // A position that is a prefix of the candidate compares smaller (its
-  // subtree still holds leaves preceding the candidate) and keeps running.
-  const Rank& cand = candidate_rank_copy_;
-  std::size_t i = 0;
-  for (const std::int32_t digit : base_rank_) {
-    if (i >= cand.size()) return true;  // candidate is a strict prefix
-    if (digit != cand[i]) return digit > cand[i];
-    ++i;
-  }
-  for (const std::int32_t digit : path_) {
-    if (digit < 0) break;  // unapplied top frame: position ends here
-    if (i >= cand.size()) return true;
-    if (digit != cand[i]) return digit > cand[i];
-    ++i;
-  }
-  return false;  // equal to or a prefix of the candidate
 }
 
 bool BnbSearch::handle_leaf(MilpSolution& result) {
@@ -1062,11 +600,6 @@ bool BnbSearch::handle_leaf(MilpSolution& result) {
       SPARCS_WLOG << "rejected checker-invalid completion at node " << nodes_;
     }
   } else if (unbounded && !have_incumbent_) {
-    if (ctx_ != nullptr) {
-      ctx_->flag_unbounded();
-      stop_ = true;
-      return true;
-    }
     result.status = SolveStatus::kUnbounded;
     stop_ = true;
     return true;
@@ -1078,35 +611,6 @@ bool BnbSearch::handle_leaf(MilpSolution& result) {
   return stop_;
 }
 
-void BnbSearch::donate_siblings(Frame& frame) {
-  // The domains currently sit at this frame's pre-branch fixpoint, so a
-  // plain bounds snapshot plus one branch box reproduces exactly the state
-  // the serial search would enter that branch with.
-  const int n = compiled_.num_vars();
-  std::vector<double> lb(static_cast<std::size_t>(n));
-  std::vector<double> ub(static_cast<std::size_t>(n));
-  for (VarId v = 0; v < n; ++v) {
-    lb[static_cast<std::size_t>(v)] = domains_.lb(v);
-    ub[static_cast<std::size_t>(v)] = domains_.ub(v);
-  }
-  for (std::size_t j = 1; j < frame.branches.size(); ++j) {
-    Subproblem node;
-    node.rank = base_rank_;
-    node.rank.insert(node.rank.end(), path_.begin(), path_.end());
-    node.rank.push_back(static_cast<std::int32_t>(j));
-    node.lb = lb;
-    node.ub = ub;
-    const auto [blo, bhi] = frame.branches[j];
-    const auto var = static_cast<std::size_t>(frame.var);
-    node.lb[var] = std::max(node.lb[var], blo);
-    node.ub[var] = std::min(node.ub[var], bhi);
-    node.seed = frame.var;
-    node.tree_parent = current_node_id_;
-    ctx_->push(std::move(node));
-  }
-  frame.branches.resize(1);
-}
-
 void BnbSearch::search_loop(MilpSolution& result) {
   const bool lp_bounding =
       params_.use_lp_bounding &&
@@ -1116,19 +620,15 @@ void BnbSearch::search_loop(MilpSolution& result) {
   // hold new work (fresh node); false means resume the top frame.
   bool descend = true;
   while (!stop_) {
-    if (limits_hit()) {
-      // Everything from this position on stays unexplored.
-      if (ctx_ != nullptr && ctx_->limit_stopped()) {
-        ctx_->note_abandoned(current_rank());
-      }
-      break;
-    }
+    if (limits_hit()) break;
     if (descend) {
       ++nodes_;
-      if (ctx_ != nullptr) {
-        ctx_->count_node();
-        sync_shared_incumbent();
-        if (position_pruned()) break;
+      double stall_sec = 0.0;
+      if (SPARCS_FAILPOINT_STALL("milp.bnb.node_stall", &stall_sec) &&
+          stall_sec > 0.0) {
+        // Simulates a wedged search; the deadline watchdog (or the time
+        // limit) must still end the solve through cooperative cancellation.
+        std::this_thread::sleep_for(std::chrono::duration<double>(stall_sec));
       }
       if (live_ != nullptr && (nodes_ % kLivePublishPeriod) == 0) {
         publish_live();
@@ -1146,14 +646,11 @@ void BnbSearch::search_loop(MilpSolution& result) {
       bool tnode_recorded = false;
       if (tree_on_) {
         tnode.id = telemetry::tree_next_id();
-        tnode.parent =
-            frame_node_ids_.empty() ? tree_parent_ : frame_node_ids_.back();
-        tnode.depth =
-            static_cast<std::int32_t>(stack_.size() + base_rank_.size());
+        tnode.parent = frame_node_ids_.empty() ? -1 : frame_node_ids_.back();
+        tnode.depth = static_cast<std::int32_t>(stack_.size());
         tnode.branch_var = last_branch_var_;
         tnode.branch_lb = last_branch_lo_;
         tnode.branch_ub = last_branch_hi_;
-        current_node_id_ = tnode.id;
       }
       // Node body under an allocation guard: on bad_alloc the node is rolled
       // back (its subtree dropped, the search marked incomplete) and the DFS
@@ -1191,18 +688,15 @@ void BnbSearch::search_loop(MilpSolution& result) {
         frame.branches = make_branches(v);
         frame.trail_mark = domains_.checkpoint();
         if (proof_on_) {
-          // Interior node: its branch list (recorded before any donation
-          // trims it) is the coverage obligation the checker verifies.
+          // Interior node: its branch list is the coverage obligation the
+          // checker verifies.
           ProofNode inode;
-          inode.rank = current_rank();
+          inode.rank = path_;
           inode.kind = ProofNode::Kind::kBranched;
           inode.derivations = take_pending_derivations();
           inode.var = v;
           inode.branches = frame.branches;
           record_proof_node(std::move(inode));
-        }
-        if (ctx_ != nullptr && frame.branches.size() > 1 && ctx_->hungry()) {
-          donate_siblings(frame);
         }
         if (tree_on_) {
           // Record (and register as owner) before the stack pushes: a push
@@ -1247,8 +741,7 @@ void BnbSearch::search_loop(MilpSolution& result) {
         descend = false;
         continue;
       }
-      const auto depth =
-          static_cast<std::int64_t>(stack_.size() + base_rank_.size());
+      const auto depth = static_cast<std::int64_t>(stack_.size());
       if (depth > stats_.max_depth) stats_.max_depth = depth;
     }
 
@@ -1285,12 +778,12 @@ void BnbSearch::search_loop(MilpSolution& result) {
           // The branch box itself was empty: no propagation ran, the
           // emptiness at the branch variable is the whole refutation.
           ProofNode leaf;
-          leaf.rank = current_rank();
+          leaf.rank = path_;
           leaf.kind = ProofNode::Kind::kEmptyBox;
           leaf.var = v;
           record_proof_node(std::move(leaf));
         } else {
-          record_conflict_leaf(current_rank());
+          record_conflict_leaf();
         }
       }
       ++stats_.nodes_pruned_infeasible;
@@ -1298,10 +791,8 @@ void BnbSearch::search_loop(MilpSolution& result) {
         // The refuted branch never descends, so its record is created here.
         telemetry::TreeNode child;
         child.id = telemetry::tree_next_id();
-        child.parent =
-            frame_node_ids_.empty() ? tree_parent_ : frame_node_ids_.back();
-        child.depth =
-            static_cast<std::int32_t>(stack_.size() + base_rank_.size());
+        child.parent = frame_node_ids_.empty() ? -1 : frame_node_ids_.back();
+        child.depth = static_cast<std::int32_t>(stack_.size());
         child.branch_var = v;
         child.branch_lb = blo;
         child.branch_ub = bhi;
@@ -1327,7 +818,7 @@ MilpSolution BnbSearch::run() {
   stats_.presolve_bounds_tightened = prop_stats_.bounds_tightened;
   stats_.presolve_vars_fixed = prop_stats_.vars_fixed;
   if (!root_ok) {
-    record_conflict_leaf({});  // the root itself is the refuted node
+    record_conflict_leaf();  // the root itself is the refuted node
     result.status = SolveStatus::kInfeasible;
     result.seconds = stopwatch_.seconds();
     attach_proof(result);
@@ -1367,229 +858,13 @@ MilpSolution BnbSearch::run() {
   return result;
 }
 
-void BnbSearch::run_worker() {
-  Subproblem node;
-  MilpSolution sink;  // workers report through ctx_, never through a result
-  while (ctx_->acquire(node)) {
-    double stall_sec = 0.0;
-    if (SPARCS_FAILPOINT_STALL("milp.bnb.worker_stall", &stall_sec) &&
-        stall_sec > 0.0) {
-      // Simulates a wedged worker; the deadline watchdog (or the time limit)
-      // must still terminate the solve through cooperative cancellation.
-      std::this_thread::sleep_for(std::chrono::duration<double>(stall_sec));
-    }
-    base_rank_ = std::move(node.rank);
-    domains_.reset_to(node.lb, node.ub);
-    stack_.clear();
-    path_.clear();
-    stop_ = false;
-    seen_candidate_version_ = ~std::uint64_t{0};
-    have_candidate_copy_ = false;
-    if (tree_on_) {
-      frame_node_ids_.clear();
-      tree_parent_ = node.tree_parent;
-      current_node_id_ = node.tree_parent;
-      last_branch_var_ = node.seed;
-      if (node.seed >= 0) {
-        last_branch_lo_ = node.lb[static_cast<std::size_t>(node.seed)];
-        last_branch_hi_ = node.ub[static_cast<std::size_t>(node.seed)];
-      } else {
-        last_branch_lo_ = 0.0;
-        last_branch_hi_ = 0.0;
-      }
-    }
-    sync_shared_incumbent();
-
-    bool ok = true;
-    bool empty_on_arrival = false;
-    std::vector<VarId> seeds;
-    if (node.seed >= 0) {
-      if (domains_.lb(node.seed) > domains_.ub(node.seed)) {
-        ok = false;
-        empty_on_arrival = true;
-      } else {
-        seeds.push_back(node.seed);
-      }
-    }
-    if (ok) ok = propagator_.propagate(domains_, seeds, prop_stats_);
-    if (proof_on_) {
-      if (ok) {
-        stage_propagation_log();
-      } else if (empty_on_arrival) {
-        // The donated branch box refuted on arrival; mirror the serial
-        // search's empty-box leaf at the subtree's base rank.
-        ProofNode leaf;
-        leaf.rank = base_rank_;
-        leaf.kind = ProofNode::Kind::kEmptyBox;
-        leaf.var = node.seed;
-        record_proof_node(std::move(leaf));
-      } else {
-        record_conflict_leaf(base_rank_);
-      }
-    }
-    if (node.seed < 0) {
-      // Root subproblem: its fixpoint is the solver's presolve.
-      stats_.presolve_bounds_tightened = prop_stats_.bounds_tightened;
-      stats_.presolve_vars_fixed = prop_stats_.vars_fixed;
-      if (ok) publish_root_bound();
-    }
-    if (ok) {
-      search_loop(sink);
-    } else if (node.seed >= 0) {
-      ++stats_.nodes_pruned_infeasible;
-      if (tree_on_) {
-        // The donated branch box refuted on arrival: record it so the
-        // donor's subtree keeps a complete child list in the dump.
-        telemetry::TreeNode child;
-        child.id = telemetry::tree_next_id();
-        child.parent = tree_parent_;
-        child.depth = static_cast<std::int32_t>(base_rank_.size());
-        child.branch_var = node.seed;
-        child.branch_lb = node.lb[static_cast<std::size_t>(node.seed)];
-        child.branch_ub = node.ub[static_cast<std::size_t>(node.seed)];
-        child.kind = telemetry::NodeKind::kPrunedInfeasible;
-        telemetry::tree_record(child);
-      }
-    }
-    ctx_->release();
-  }
-  publish_live();  // final flush of this worker's deltas
-  if (params_.certify == CertifyMode::kFull) {
-    // Merge this worker's proof fragment (empty when recording was dropped;
-    // harmless, since an incumbent rules out an infeasible verdict anyway).
-    ctx_->contribute_proof(std::move(proof_nodes_), proof_overflowed_);
-  }
-  stats_.nodes_explored = nodes_;
-  stats_.propagated_constraints = prop_stats_.constraints_processed;
-  stats_.bounds_tightened = prop_stats_.bounds_tightened;
-  stats_.vars_fixed = prop_stats_.vars_fixed;
-  stats_.conflicts = prop_stats_.conflicts;
-}
-
-/// Resolves SolverParams::num_threads against the hardware and the model
-/// size (tiny models finish before a pool spins up).
-int effective_threads(const SolverParams& params, const Model& model) {
-  if (params.num_threads == 1) return 1;
-  int threads = params.num_threads > 0
-                    ? params.num_threads
-                    : static_cast<int>(std::thread::hardware_concurrency());
-  if (threads <= 1) return 1;
-  constexpr int kParallelMinVars = 48;
-  if (model.num_vars() < kParallelMinVars) return 1;
-  return threads;
-}
-
-MilpSolution solve_parallel(const Model& model, const SolverParams& params,
-                            const BnbCallbacks& callbacks, int num_workers) {
-  // Mode flags must be known before workers start; compile once (without the
-  // cutoff row) to read the normalized objective.
-  const CompiledModel probe(model, /*with_objective_cutoff=*/false);
-  const bool first_feasible_mode =
-      params.stop_at_first_feasible || probe.objective_terms().empty();
-  const bool flipped = probe.objective_flipped();
-
-  ParallelContext ctx(params, callbacks, first_feasible_mode, flipped,
-                      num_workers);
-  {
-    Subproblem root;
-    root.lb.reserve(static_cast<std::size_t>(probe.num_vars()));
-    root.ub.reserve(static_cast<std::size_t>(probe.num_vars()));
-    for (VarId v = 0; v < probe.num_vars(); ++v) {
-      root.lb.push_back(probe.lb(v));
-      root.ub.push_back(probe.ub(v));
-    }
-    ctx.push(std::move(root));
-  }
-
-  std::vector<SolverStats> worker_stats(static_cast<std::size_t>(num_workers));
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(num_workers));
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(num_workers));
-  for (int i = 0; i < num_workers; ++i) {
-    workers.emplace_back([&, i] {
-      // Workers inherit the solve's correlation id so their log lines and
-      // spans join the session's telemetry stream.
-      telemetry::CorrelationScope corr(callbacks.correlation);
-      try {
-        BnbSearch search(model, params, callbacks, &ctx);
-        search.run_worker();
-        worker_stats[static_cast<std::size_t>(i)] = search.worker_stats();
-      } catch (...) {
-        errors[static_cast<std::size_t>(i)] = std::current_exception();
-        ctx.request_stop();
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-
-  MilpSolution result;
-  for (const SolverStats& stats : worker_stats) result.stats.merge(stats);
-  {
-    // Incumbent acceptances were recorded centrally (under the context
-    // lock); bound events live in the worker stats merged above.
-    std::vector<ConvergenceEvent> accepted = ctx.take_convergence();
-    auto& timeline = result.stats.convergence;
-    timeline.insert(timeline.end(), accepted.begin(), accepted.end());
-    std::stable_sort(timeline.begin(), timeline.end(),
-                     [](const ConvergenceEvent& a, const ConvergenceEvent& b) {
-                       return a.t_sec < b.t_sec;
-                     });
-  }
-  result.nodes_explored = result.stats.nodes_explored;
-  result.propagations = result.stats.propagated_constraints;
-  result.seconds = ctx.stopwatch.seconds();
-
-  const bool limit_stopped = ctx.limit_stopped();
-  // A cut-short first-feasible run keeps its candidate only when it is the
-  // answer the serial search would give.
-  const bool solution_usable =
-      ctx.have_solution() &&
-      !(first_feasible_mode && limit_stopped &&
-        !ctx.candidate_precedes_abandoned());
-  if (solution_usable) {
-    if (first_feasible_mode) {
-      result.status = params.stop_at_first_feasible || ctx.incomplete()
-                          ? SolveStatus::kFeasible
-                          : SolveStatus::kOptimal;
-    } else {
-      result.status = limit_stopped || ctx.incomplete()
-                          ? SolveStatus::kFeasible
-                          : SolveStatus::kOptimal;
-    }
-    const double obj = ctx.solution_objective();
-    result.values = ctx.take_values();
-    result.objective = flipped ? -obj : obj;
-  } else if (ctx.unbounded()) {
-    result.status = SolveStatus::kUnbounded;
-  } else if (limit_stopped) {
-    result.status = SolveStatus::kLimitReached;
-  } else {
-    // With dropped subtrees an exhausted pool no longer proves infeasibility.
-    result.status = ctx.incomplete() ? SolveStatus::kNumericalFailure
-                                     : SolveStatus::kInfeasible;
-  }
-  if (result.status == SolveStatus::kInfeasible &&
-      params.certify == CertifyMode::kFull) {
-    result.proof = ctx.take_proof();
-  }
-  return result;
-}
-
 }  // namespace
 
 MilpSolution solve_branch_and_bound(const Model& model,
                                     const SolverParams& params,
                                     const BnbCallbacks& callbacks) {
-  const int threads = effective_threads(params, model);
-  if (threads <= 1) {
-    BnbSearch search(model, params, callbacks);
-    return search.run();
-  }
-  return solve_parallel(model, params, callbacks, threads);
+  BnbSearch search(model, params, callbacks);
+  return search.run();
 }
 
 }  // namespace sparcs::milp

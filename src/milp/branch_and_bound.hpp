@@ -1,4 +1,4 @@
-// Branch & bound over propagated domains, single- or multi-threaded.
+// Branch & bound over propagated domains.
 //
 // Search skeleton: propagate to a fixpoint; if a conflict arises backtrack;
 // if integral variables remain, branch on the highest-priority one (value
@@ -9,15 +9,11 @@
 // machinery serves both the paper's constraint-satisfaction mode
 // (stop_at_first_feasible) and the optimal reference runs.
 //
-// With SolverParams::num_threads != 1 the tree is explored by a worker pool
-// fed from a rank-ordered subproblem pool (ranks are branch-index paths, so
-// rank order == the serial DFS order). Workers donate untried sibling
-// branches whenever the pool runs low, share the incumbent through an atomic
-// objective, and in first-feasible mode accept candidates in rank order —
-// which makes the returned solution identical to the single-threaded one.
+// The search is one depth-first walk on the calling thread: the same model
+// and parameters explore the same nodes in the same order on every run (up
+// to where a time limit or cancellation cuts it), and a first-feasible query
+// returns the DFS-first feasible leaf.
 #pragma once
-
-#include <cstdint>
 
 #include "milp/model.hpp"
 #include "milp/types.hpp"
@@ -38,9 +34,6 @@ struct BnbCallbacks {
   /// Live telemetry slot of the enclosing solve (owned by the Solver
   /// session's telemetry::SolveScope); null when telemetry is inactive.
   telemetry::LiveSolve* live = nullptr;
-  /// Correlation id of the enclosing solve (0 when telemetry is inactive);
-  /// worker threads adopt it so their spans and log lines join the solve.
-  std::uint64_t correlation = 0;
 };
 
 /// Solves `model` with propagation-based branch & bound.

@@ -58,8 +58,8 @@ struct DerivationLog {
 
 /// One node of a tree-shaped infeasibility proof. `rank` is the node's
 /// position in the depth-first order of the branch & bound tree (the branch
-/// indices from the root), which is also how parallel workers' fragments are
-/// stitched back into one tree.
+/// indices from the root), which is how the checker links every node to its
+/// parent.
 struct ProofNode {
   enum class Kind : std::uint8_t {
     kBranched,  ///< interior: branched `var` into `branches` boxes
@@ -82,8 +82,8 @@ struct ProofNode {
   std::vector<double> y;           ///< kFarkas: dual ray
 };
 
-/// Tree-shaped infeasibility proof for a whole MILP, assembled by branch &
-/// bound (serial search or stitched parallel fragments).
+/// Tree-shaped infeasibility proof for a whole MILP, recorded by the branch &
+/// bound search.
 struct InfeasibilityProof {
   std::vector<ProofNode> nodes;
   /// Recording hit its size cap; the proof is incomplete and uncheckable.

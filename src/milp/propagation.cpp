@@ -4,8 +4,6 @@
 #include <cmath>
 #include <span>
 
-#include "support/error.hpp"
-
 namespace sparcs::milp {
 
 Domains::Domains(const CompiledModel& model) : model_(&model) {
@@ -103,16 +101,6 @@ bool Domains::set_ub(VarId v, double value) {
   slot = value;
   move_bound(v, false, old, value);
   return true;
-}
-
-void Domains::reset_to(const std::vector<double>& lb,
-                       const std::vector<double>& ub) {
-  SPARCS_CHECK(lb.size() == lb_.size() && ub.size() == ub_.size(),
-               "domain snapshot arity mismatch");
-  lb_ = lb;
-  ub_ = ub;
-  trail_.clear();
-  recompute_activities();
 }
 
 void Domains::rollback(std::size_t mark) {

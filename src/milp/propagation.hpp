@@ -49,10 +49,6 @@ class Domains {
   /// Restores all bounds recorded after `mark`.
   void rollback(std::size_t mark);
 
-  /// Replaces every bound and clears the trail. Used by branch & bound
-  /// workers to seat a subproblem snapshot taken on another thread.
-  void reset_to(const std::vector<double>& lb, const std::vector<double>& ub);
-
   /// Minimum / maximum activity of row c over the current bounds, each bound
   /// clamped into the model box, maintained incrementally. Only rows with a
   /// finite CompiledModel::row_range() are tracked exactly; the others carry

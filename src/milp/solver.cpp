@@ -141,29 +141,10 @@ MilpSolution Solver::solve() {
   if (live.id() != 0) {
     span.arg("corr", static_cast<std::int64_t>(live.id()));
   }
-  {
-    // New solve, new incumbent lineage: a stale snapshot from the previous
-    // solve must not masquerade as progress of this one.
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    snapshot_.reset();
-  }
   BnbCallbacks callbacks;
   callbacks.session_cancel = cancel_;
-  // Tee every accepted incumbent into the session's exportable snapshot
-  // before forwarding to the user callback (if any).
-  callbacks.on_incumbent = [this](const IncumbentEvent& event) {
-    {
-      std::lock_guard<std::mutex> lock(snapshot_mu_);
-      IncumbentSnapshot snap;
-      snap.objective = event.objective;
-      if (event.values != nullptr) snap.values = *event.values;
-      snap.nodes_explored = event.nodes_explored;
-      snapshot_ = std::move(snap);
-    }
-    if (on_incumbent_) on_incumbent_(event);
-  };
+  callbacks.on_incumbent = on_incumbent_;
   callbacks.live = live.slot();
-  callbacks.correlation = live.id();
   MilpSolution solution = solve_branch_and_bound(model_, params_, callbacks);
   certify_verdict(model_, params_, solution);
   if (solution.certified == CertifyStatus::kUncertified && !params_.distrust) {
@@ -211,11 +192,6 @@ void Solver::set_incumbent_callback(IncumbentCallback callback) {
   on_incumbent_ = std::move(callback);
 }
 
-std::optional<IncumbentSnapshot> Solver::incumbent_snapshot() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  return snapshot_;
-}
-
 SolverParams first_feasible_params(SolverParams base) {
   base.stop_at_first_feasible = true;
   return base;
@@ -225,18 +201,6 @@ SolverParams optimality_params(SolverParams base) {
   base.stop_at_first_feasible = false;
   base.use_lp_bounding = true;
   return base;
-}
-
-MilpSolution solve(const Model& model, const SolverParams& params) {
-  return Solver(model, params).solve();
-}
-
-MilpSolution solve_first_feasible(const Model& model, SolverParams params) {
-  return Solver(model, first_feasible_params(std::move(params))).solve();
-}
-
-MilpSolution solve_to_optimality(const Model& model, SolverParams params) {
-  return Solver(model, optimality_params(std::move(params))).solve();
 }
 
 }  // namespace sparcs::milp

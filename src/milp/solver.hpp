@@ -5,36 +5,23 @@
 // A Solver owns a reference to the model plus a mutable copy of the solve
 // parameters, so one session can be re-solved several times with tightened
 // limits or bounds between calls (the paper's Reduce_Latency loop re-probes
-// the same formulation with shrinking latency windows). cancel() aborts an
-// in-flight solve() from another thread; set_incumbent_callback() observes
-// every accepted incumbent as it is found.
+// the same formulation with shrinking latency windows). The search runs on
+// the thread that calls solve(); cancel() aborts it from any other thread,
+// and set_incumbent_callback() observes every accepted incumbent as it is
+// found.
 #pragma once
-
-#include <mutex>
-#include <optional>
-#include <vector>
 
 #include "milp/model.hpp"
 #include "milp/types.hpp"
 
 namespace sparcs::milp {
 
-/// Owned copy of the best incumbent a solve has accepted so far: the carried
-/// upper bound plus the full assignment (decodable into a design and reusable
-/// as a warm-start hint). Unlike IncumbentEvent, the storage is the caller's.
-struct IncumbentSnapshot {
-  double objective = 0.0;
-  std::vector<double> values;
-  std::int64_t nodes_explored = 0;
-};
-
 /// One solving session over a fixed model.
 ///
-/// Thread-safety contract: solve() itself may spin up worker threads
-/// (SolverParams::num_threads), but the session object is externally
-/// synchronized — at most one solve() may be in flight at a time, and
-/// params() must not be mutated while one is. cancel() is the exception:
-/// it is safe to call from any thread at any time.
+/// Thread-safety contract: the session object is externally synchronized —
+/// at most one solve() may be in flight at a time, and params() must not be
+/// mutated while one is. cancel() is the exception: it is safe to call from
+/// any thread at any time. Separate sessions may solve on separate threads.
 class Solver {
  public:
   /// Binds the session to `model`, which must outlive the Solver and stay
@@ -59,17 +46,10 @@ class Solver {
 
   [[nodiscard]] bool cancel_requested() const { return cancel_.cancelled(); }
 
-  /// Observes every accepted incumbent. In multi-threaded solves the
-  /// callback runs on a worker thread under the incumbent lock: keep it
-  /// cheap, and only call back into the solver via cancel().
+  /// Observes every accepted incumbent. The callback runs inside solve(),
+  /// on its thread: keep it cheap, and only call back into the solver via
+  /// cancel().
   void set_incumbent_callback(IncumbentCallback callback);
-
-  /// The best incumbent of the in-flight (or most recent) solve(), copied
-  /// when the search accepted it. Safe from any thread at any time — this is
-  /// how a checkpointer exports the carried upper bound and its assignment
-  /// out of a long solve without waiting for it to return. nullopt until the
-  /// current solve accepts a first incumbent (cleared when solve() starts).
-  [[nodiscard]] std::optional<IncumbentSnapshot> incumbent_snapshot() const;
 
   /// Mutable parameters, applied to the next solve() call. Typical re-solve
   /// pattern: tighten time_limit_sec / node_limit, flip
@@ -84,10 +64,6 @@ class Solver {
   SolverParams params_;
   CancelToken cancel_;
   IncumbentCallback on_incumbent_;
-  /// Guards snapshot_ against concurrent incumbent_snapshot() readers while
-  /// solver workers publish new incumbents.
-  mutable std::mutex snapshot_mu_;
-  std::optional<IncumbentSnapshot> snapshot_;
 };
 
 /// Parameter preset for constraint-satisfaction queries (the paper's
@@ -97,17 +73,5 @@ class Solver {
 /// Parameter preset for optimality queries, with LP bounding enabled for
 /// models small enough to afford it.
 [[nodiscard]] SolverParams optimality_params(SolverParams base = {});
-
-/// Solves the MILP in one shot.
-[[deprecated("construct a milp::Solver session instead")]]
-MilpSolution solve(const Model& model, const SolverParams& params = {});
-
-/// Convenience wrapper for constraint-satisfaction queries.
-[[deprecated("use Solver(model, first_feasible_params()).solve()")]]
-MilpSolution solve_first_feasible(const Model& model, SolverParams params = {});
-
-/// Convenience wrapper for optimality queries.
-[[deprecated("use Solver(model, optimality_params()).solve()")]]
-MilpSolution solve_to_optimality(const Model& model, SolverParams params = {});
 
 }  // namespace sparcs::milp

@@ -138,9 +138,9 @@ struct IncumbentEvent {
   std::int64_t nodes_explored = 0;  ///< nodes explored when accepted
 };
 
-/// Invoked on every accepted incumbent. In multi-threaded solves the callback
-/// runs on a worker thread under the incumbent lock: keep it cheap, and do
-/// not call back into the solver except CancelToken::request_cancel().
+/// Invoked on every accepted incumbent, on the thread running the solve: keep
+/// it cheap, and do not call back into the solver except
+/// CancelToken::request_cancel().
 using IncumbentCallback = std::function<void(const IncumbentEvent&)>;
 
 /// Tuning knobs of the MILP solver.
@@ -174,11 +174,9 @@ struct SolverParams {
   /// Emit per-node progress at kInfo level every this many nodes (0 = off).
   std::int64_t log_every_nodes = 0;
 
-  /// Branch & bound worker threads. 0 = hardware_concurrency; 1 runs the
-  /// legacy single-threaded search and preserves today's exact node order.
-  /// With more than one worker the returned first-feasible solution is still
-  /// deterministic (identical to the single-threaded one) because candidates
-  /// are accepted in depth-first rank order; see DESIGN.md.
+  /// Ignored: the search always runs on the calling thread. Kept only
+  /// because the benchmark driver (perfbench/) still assigns it; dropped
+  /// with the next change to the benchmark.
   int num_threads = 0;
 
   /// Cooperative cancellation: when the token reports cancellation the solve
@@ -210,9 +208,8 @@ struct ConvergenceEvent {
 
 /// Per-layer search statistics of one MILP solve, filled by the simplex,
 /// propagation and branch & bound layers and returned in MilpSolution. All
-/// fields are plain accumulators (no atomics): each worker thread fills its
-/// own instance and the per-worker copies are merge()d on exit, so the
-/// reported totals are exact at any thread count.
+/// fields are plain accumulators; merge() sums the stats of several solves
+/// (a sweep's probes, or a solve and its distrust re-solve).
 struct SolverStats {
   // Branch & bound.
   std::int64_t nodes_explored = 0;
@@ -249,9 +246,8 @@ struct SolverStats {
   std::int64_t certify_retries = 0;       ///< distrust re-solves triggered
   std::int64_t uncertified_verdicts = 0;  ///< verdicts demoted after retry
 
-  /// Incumbent/bound improvement timeline, time-ordered. Serial solves
-  /// append directly; parallel solves record under the shared incumbent lock
-  /// so the timeline stays time-ordered across workers.
+  /// Incumbent/bound improvement timeline, in the order the search found
+  /// the events (so time-ordered).
   std::vector<ConvergenceEvent> convergence;
 
   /// Renders every accumulator plus the convergence timeline as one JSON

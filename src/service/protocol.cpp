@@ -37,7 +37,6 @@ bool parse_submit(const json::Value& root, SubmitRequest* out,
         options->member_double("time_limit_sec", out->time_limit_sec);
     out->deadline_sec =
         options->member_double("deadline_sec", out->deadline_sec);
-    out->threads = static_cast<int>(options->member_int("threads", out->threads));
     out->certify = options->member_string("certify", out->certify);
     out->checkpoint = options->member_bool("checkpoint", out->checkpoint);
     out->est_memory_mb =
@@ -49,7 +48,6 @@ bool parse_submit(const json::Value& root, SubmitRequest* out,
   if (out->deadline_sec < 0.0) {
     return fail(error, "options.deadline_sec must be >= 0");
   }
-  if (out->threads < 0) return fail(error, "options.threads must be >= 0");
   if (out->est_memory_mb < 0.0) {
     return fail(error, "options.est_memory_mb must be >= 0");
   }
@@ -103,7 +101,6 @@ std::string serialize_request(const Request& request) {
     w.field("gamma", s.gamma);
     w.field("time_limit_sec", s.time_limit_sec);
     w.field("deadline_sec", s.deadline_sec);
-    w.field("threads", s.threads);
     w.field("certify", s.certify);
     w.field("checkpoint", s.checkpoint);
     if (s.est_memory_mb > 0.0) w.field("est_memory_mb", s.est_memory_mb);

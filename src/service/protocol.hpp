@@ -10,7 +10,6 @@
 //        "rmax":NUM, "mmax":NUM, "ct":NUM,          // device overrides
 //        "delta":NUM, "alpha":INT, "gamma":INT,
 //        "time_limit_sec":NUM, "deadline_sec":NUM,  // per-solve / whole-job
-//        "threads":INT,                             // solver threads (default 1)
 //        "certify":"off"|"incumbents"|"full",
 //        "checkpoint":BOOL,                         // per-job sweep checkpoint
 //        "est_memory_mb":NUM}}                      // admission estimate override
@@ -38,7 +37,7 @@
 namespace sparcs::service {
 
 /// Solve parameters of one submit request, defaults matching the one-shot
-/// CLI except threads (1: service workers already provide the parallelism).
+/// CLI.
 struct SubmitRequest {
   std::string workload;    ///< builtin workload name; exclusive with graph_text
   std::string graph_text;  ///< inline .tg document; exclusive with workload
@@ -50,7 +49,6 @@ struct SubmitRequest {
   int gamma = 1;
   double time_limit_sec = 10.0;
   double deadline_sec = 0.0;  ///< whole-job wall deadline; 0 = none
-  int threads = 1;  ///< solver threads per job (0 = server default)
   std::string certify = "off";
   bool checkpoint = true;        ///< arm the per-job sweep checkpoint
   double est_memory_mb = 0.0;    ///< admission estimate override; 0 = derive

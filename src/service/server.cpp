@@ -274,7 +274,7 @@ void Server::worker_loop() {
 
 void Server::run_job(const std::shared_ptr<Job>& job) {
   // The correlation scope is what joins this job's log lines, trace spans
-  // and telemetry entries across the solver's worker threads.
+  // and telemetry entries.
   const telemetry::CorrelationScope scope(job->correlation);
   static metrics::Counter& jobs_started =
       metrics::registry().counter("service.jobs.started");
@@ -447,8 +447,6 @@ std::string Server::handle_submit(const SubmitRequest& submit,
     spec.options.max_partitions = options_.max_partitions;
     spec.options.budget.delta = submit.delta;
     spec.options.budget.solver.time_limit_sec = submit.time_limit_sec;
-    spec.options.budget.solver.num_threads =
-        submit.threads > 0 ? submit.threads : options_.threads_per_job;
     spec.options.budget.solver.certify = certify_mode(submit.certify);
     spec.deadline_sec = submit.deadline_sec;
     spec.checkpoint = submit.checkpoint;

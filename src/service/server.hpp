@@ -50,9 +50,6 @@ struct ServerOptions {
   /// <job>.logs.jsonl); empty keeps results in memory only. Created if
   /// missing.
   std::string artifact_dir;
-  /// Default solver threads per job when a submit does not override; 1 keeps
-  /// num_workers concurrent jobs from oversubscribing the machine.
-  int threads_per_job = 1;
   /// Upper bound a submit's max_partitions-driven memory estimate uses.
   int max_partitions = 64;
   /// External preemption: the daemon shuts down gracefully when this token

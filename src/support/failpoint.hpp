@@ -1,6 +1,6 @@
 // Failpoint framework: named failure sites compiled into debug/CI builds so
 // the fault-injection suite can force the rare paths (simplex numerical
-// blow-up, LP cycling, worker-thread stalls, allocation failure, solve
+// blow-up, LP cycling, a stalled search node, allocation failure, solve
 // timeout) that production traffic only hits under load.
 //
 // A site is a string name evaluated through SPARCS_FAILPOINT(name). In
@@ -10,11 +10,11 @@
 // Sites are armed programmatically (failpoint::arm) or through the
 // SPARCS_FAILPOINTS environment variable:
 //
-//   SPARCS_FAILPOINTS="milp.simplex.blowup=1,milp.bnb.worker_stall"
+//   SPARCS_FAILPOINTS="milp.simplex.blowup=1,milp.bnb.node_stall"
 //
 // where `name` alone arms a site for every hit and `name=N` arms it for the
-// first N hits only. All operations are thread-safe: sites fire from solver
-// worker threads.
+// first N hits only. All operations are thread-safe: sites fire from every
+// thread that solves (concurrent sessions, service jobs).
 #pragma once
 
 #include <string>

@@ -40,11 +40,10 @@ void set_json_log_sink(std::ostream* sink);
 
 /// Additionally routes the JSON records of one correlation id to a dedicated
 /// stream — the solve service registers one per job, so every log line a job
-/// (and the solver worker threads inheriting its id) emits lands in that
-/// job's own JSONL file regardless of how many jobs run concurrently. The
-/// global sink, when set, still receives every record. Writes share the
-/// global sink mutex; the caller owns the stream and must remove the sink
-/// (remove_correlation_json_log_sink) before destroying it.
+/// emits lands in that job's own JSONL file regardless of how many jobs run
+/// concurrently. The global sink, when set, still receives every record.
+/// Writes share the global sink mutex; the caller owns the stream and must
+/// remove the sink (remove_correlation_json_log_sink) before destroying it.
 void add_correlation_json_log_sink(std::uint64_t correlation,
                                    std::ostream* sink);
 void remove_correlation_json_log_sink(std::uint64_t correlation);

@@ -12,9 +12,9 @@
 //
 // Correlation: every MILP solve is tagged with a process-unique correlation
 // id (a plain uint64). The id lives in thread-local storage for the duration
-// of the solve (worker threads inherit it explicitly), flows into trace-span
-// args ("corr"), JSON log records ("corr") and the sampler's per-solve
-// entries, so one solve can be joined across all three streams.
+// of the solve, flows into trace-span args ("corr"), JSON log records
+// ("corr") and the sampler's per-solve entries, so one solve can be joined
+// across all three streams.
 #pragma once
 
 #include <atomic>
@@ -45,8 +45,8 @@ std::uint64_t next_correlation_id();
 std::uint64_t current_correlation_id();
 
 /// RAII swap of the calling thread's correlation id; used by solve probes to
-/// scope an id over a FormModel+SolveModel round trip, and by solver worker
-/// threads to inherit the spawning solve's id.
+/// scope an id over a FormModel+SolveModel round trip, and by service jobs
+/// to carry the job's id.
 class CorrelationScope {
  public:
   explicit CorrelationScope(std::uint64_t id);
@@ -185,7 +185,7 @@ void set_tree_capacity(std::size_t cap);
 void tree_clear();
 
 /// Allocates the next node id (process-wide, so ids are unique across
-/// worker threads and across solves).
+/// concurrent sessions and across solves).
 std::int64_t tree_next_id();
 
 /// Records one node (no-op while recording is disabled).

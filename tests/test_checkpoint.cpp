@@ -184,7 +184,6 @@ PartitionerReport run_partitioner(const std::string& ckpt_path, bool resume,
   const arch::Device dev = ar_device();
   PartitionerOptions options;
   options.budget.delta = 5.0;
-  options.budget.solver.num_threads = 1;
   if (cancel.valid()) options.budget.solver.cancel = cancel;
   options.checkpoint.path = ckpt_path;
   options.checkpoint.min_interval_sec = 0.0;

@@ -177,18 +177,6 @@ TEST(CliTest, WritesReportJson) {
   std::remove(report.c_str());
 }
 
-TEST(CliTest, ThreadsFlagIsAcceptedAndValidated) {
-  const CliRun r = run_cli({"--workload", "ar", "--rmax", "200", "--mmax",
-                            "64", "--ct", "50", "--delta", "20", "--quiet",
-                            "--threads", "2"});
-  EXPECT_EQ(r.exit_code, 0) << r.err;
-  EXPECT_NE(r.out.find("best:"), std::string::npos);
-
-  const CliRun bad = run_cli({"--workload", "ar", "--threads", "-1"});
-  EXPECT_EQ(bad.exit_code, 4);
-  EXPECT_NE(bad.err.find("--threads"), std::string::npos);
-}
-
 TEST(CliTest, LogLevelFlagControlsTraceTable) {
   const CliRun loud = run_cli({"--workload", "ar", "--rmax", "200", "--mmax",
                                "64", "--ct", "50", "--delta", "20",

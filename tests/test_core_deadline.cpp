@@ -28,7 +28,6 @@ PartitionerOptions slow_options() {
   // unconstrained run comfortably outlasts the tight deadlines below.
   PartitionerOptions options;
   options.budget.delta = 0.05;
-  options.budget.solver.num_threads = 1;
   return options;
 }
 

@@ -85,18 +85,6 @@ milp::Model knapsack_model() {
   return m;
 }
 
-/// Infeasible parity model, exhaustive to refute; >= 48 vars also clears the
-/// parallel dispatch threshold.
-milp::Model parity_hard_model(int vars) {
-  milp::Model m("parity");
-  milp::LinExpr sum;
-  for (int i = 0; i < vars; ++i) {
-    sum += 2.0 * milp::LinExpr(m.add_binary("x" + std::to_string(i)));
-  }
-  m.add_constraint(std::move(sum) == static_cast<double>(vars) + 1.0, "odd");
-  return m;
-}
-
 milp::LpProblem small_lp() {
   // min -x - y s.t. x + y <= 3, x <= 2, y <= 2: optimum -3.
   milp::LpProblem lp;
@@ -139,7 +127,6 @@ TEST_F(FailpointTest, SolverSurvivesPersistentLpFailure) {
   failpoint::arm("milp.simplex.blowup");
   const milp::Model m = knapsack_model();
   milp::SolverParams params = milp::optimality_params();
-  params.num_threads = 1;
   const milp::MilpSolution s = milp::Solver(m, params).solve();
   ASSERT_TRUE(s.has_solution());
   EXPECT_NEAR(s.objective, 20.0, 1e-6);
@@ -150,20 +137,10 @@ TEST_F(FailpointTest, SolverSurvivesPersistentLpFailure) {
 TEST_F(FailpointTest, SolveTimeoutReturnsLimitReached) {
   failpoint::arm("milp.solve.timeout");
   milp::SolverParams params;
-  params.num_threads = 1;
   const milp::MilpSolution s =
       milp::Solver(knapsack_model(), params).solve();
   EXPECT_EQ(s.status, milp::SolveStatus::kLimitReached);
   EXPECT_TRUE(s.values.empty());
-}
-
-TEST_F(FailpointTest, SolveTimeoutReturnsLimitReachedParallel) {
-  failpoint::arm("milp.solve.timeout");
-  milp::SolverParams params;
-  params.num_threads = 4;
-  const milp::MilpSolution s =
-      milp::Solver(parity_hard_model(60), params).solve();
-  EXPECT_EQ(s.status, milp::SolveStatus::kLimitReached);
 }
 
 TEST_F(FailpointTest, AllocationFailureRollsBackAndContinues) {
@@ -173,7 +150,6 @@ TEST_F(FailpointTest, AllocationFailureRollsBackAndContinues) {
   failpoint::arm("milp.bnb.alloc_fail", spec);
   const milp::Model m = knapsack_model();
   milp::SolverParams params = milp::optimality_params();
-  params.num_threads = 1;
   const milp::MilpSolution s = milp::Solver(m, params).solve();
   EXPECT_GT(s.stats.allocation_failures, 0);
   // Dropped subtrees forfeit the optimality claim but never the soundness
@@ -188,7 +164,6 @@ TEST_F(FailpointTest, AllocationFailureRollsBackAndContinues) {
 TEST_F(FailpointTest, AllocationFailureExhaustionStopsClassified) {
   failpoint::arm("milp.bnb.alloc_fail");  // every node throws
   milp::SolverParams params = milp::optimality_params();
-  params.num_threads = 1;
   const milp::MilpSolution s =
       milp::Solver(knapsack_model(), params).solve();
   EXPECT_EQ(s.status, milp::SolveStatus::kNumericalFailure);
@@ -202,7 +177,6 @@ TEST_F(FailpointTest, CorruptLeafIsRejectedAndSearchRecovers) {
   failpoint::arm("milp.bnb.corrupt_leaf", spec);
   const milp::Model m = knapsack_model();
   milp::SolverParams params = milp::optimality_params();
-  params.num_threads = 1;
   const milp::MilpSolution s = milp::Solver(m, params).solve();
   EXPECT_GE(s.stats.checker_rejections, 1);
   ASSERT_TRUE(s.has_solution());
@@ -214,7 +188,6 @@ TEST_F(FailpointTest, CorruptLeafNeverReturnedEvenWhenPersistent) {
   failpoint::arm("milp.bnb.corrupt_leaf");  // every candidate corrupted
   const milp::Model m = knapsack_model();
   milp::SolverParams params = milp::optimality_params();
-  params.num_threads = 1;
   const milp::MilpSolution s = milp::Solver(m, params).solve();
   // Every leaf was rejected: no solution, and the exhausted-but-incomplete
   // search must not claim infeasibility.
@@ -223,14 +196,13 @@ TEST_F(FailpointTest, CorruptLeafNeverReturnedEvenWhenPersistent) {
   EXPECT_GT(s.stats.checker_rejections, 0);
 }
 
-TEST_F(FailpointTest, StalledWorkerStillTerminates) {
+TEST_F(FailpointTest, StalledNodeStillTerminates) {
   failpoint::Spec spec;
   spec.max_hits = 2;
   spec.stall_sec = 0.05;
-  failpoint::arm("milp.bnb.worker_stall", spec);
+  failpoint::arm("milp.bnb.node_stall", spec);
   // Feasible pick-7-of-60 model, quick in first-feasible mode: the stalls
-  // delay two subproblem batches but the search still completes and the
-  // deterministic rank-ordered answer is unaffected.
+  // delay two nodes but the search still completes with a valid answer.
   milp::Model m("pick7");
   milp::LinExpr sum;
   for (int i = 0; i < 60; ++i) {
@@ -238,13 +210,12 @@ TEST_F(FailpointTest, StalledWorkerStillTerminates) {
   }
   m.add_constraint(std::move(sum) == 7.0, "pick7");
   milp::SolverParams params = milp::first_feasible_params();
-  params.num_threads = 2;
   params.time_limit_sec = 30.0;  // safety net; stalls must not consume it
   const milp::MilpSolution s = milp::Solver(m, params).solve();
   // Reaching this line is the no-hang guarantee.
   ASSERT_EQ(s.status, milp::SolveStatus::kFeasible);
   EXPECT_TRUE(milp::check_solution(m, s.values).ok);
-  EXPECT_GE(failpoint::trigger_count("milp.bnb.worker_stall"), 1);
+  EXPECT_GE(failpoint::trigger_count("milp.bnb.node_stall"), 1);
 }
 
 // --- telemetry under induced failure ---------------------------------------
@@ -274,7 +245,6 @@ class TelemetryFailpointTest : public FailpointTest {
 TEST_F(TelemetryFailpointTest, SolveTimeoutYieldsWellFormedJsonl) {
   failpoint::arm("milp.solve.timeout");
   milp::SolverParams params;
-  params.num_threads = 1;
   const milp::MilpSolution s =
       milp::Solver(knapsack_model(), params).solve();
   EXPECT_EQ(s.status, milp::SolveStatus::kLimitReached);
@@ -288,11 +258,11 @@ TEST_F(TelemetryFailpointTest, SolveTimeoutYieldsWellFormedJsonl) {
   EXPECT_NE(jsonl.find("\"solves_completed\": 1", last), std::string::npos);
 }
 
-TEST_F(TelemetryFailpointTest, StalledWorkerKeepsSamplerAlive) {
+TEST_F(TelemetryFailpointTest, StalledNodeKeepsSamplerAlive) {
   failpoint::Spec spec;
   spec.max_hits = 2;
   spec.stall_sec = 0.05;
-  failpoint::arm("milp.bnb.worker_stall", spec);
+  failpoint::arm("milp.bnb.node_stall", spec);
   milp::Model m("pick7");
   milp::LinExpr sum;
   for (int i = 0; i < 60; ++i) {
@@ -300,12 +270,12 @@ TEST_F(TelemetryFailpointTest, StalledWorkerKeepsSamplerAlive) {
   }
   m.add_constraint(std::move(sum) == 7.0, "pick7");
   milp::SolverParams params = milp::first_feasible_params();
-  params.num_threads = 2;
   params.time_limit_sec = 30.0;
   const milp::MilpSolution s = milp::Solver(m, params).solve();
   ASSERT_EQ(s.status, milp::SolveStatus::kFeasible);
   telemetry::stop_sampler();
-  // The sampler kept emitting interval records while the workers stalled.
+  // The sampler kept emitting interval records while the search stalled.
+  EXPECT_GE(failpoint::trigger_count("milp.bnb.node_stall"), 1);
   const std::string jsonl = sink_.str();
   EXPECT_TRUE(is_valid_json_lines(jsonl));
   EXPECT_NE(jsonl.find("\"trigger\": \"interval\""), std::string::npos);
@@ -322,7 +292,6 @@ TEST_F(TelemetryFailpointTest, DegradedSweepIsReflectedInFinalRecord) {
   params.budget.delta = 100.0;
   params.budget.time_budget_sec = 0.0;
   params.budget.solver.time_limit_sec = 0.05;
-  params.budget.solver.num_threads = 1;
   const core::RefinePartitionsResult result =
       core::refine_partitions_bound(graph, device, params);
   EXPECT_FALSE(result.best.has_value());

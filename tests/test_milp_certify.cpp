@@ -96,7 +96,6 @@ Model lp_refuted_model() {
 
 TEST(CertifyInfeasibleTest, SolverProofPassesExactCheck) {
   SolverParams params = optimality_params();
-  params.num_threads = 1;
   params.certify = CertifyMode::kFull;
   const MilpSolution s = Solver(infeasible_model(), params).solve();
   ASSERT_EQ(s.status, SolveStatus::kInfeasible);
@@ -107,7 +106,6 @@ TEST(CertifyInfeasibleTest, SolverProofPassesExactCheck) {
 
 TEST(CertifyInfeasibleTest, LpRefutedProofCarriesFarkasLeafAndPasses) {
   SolverParams params = optimality_params();
-  params.num_threads = 1;
   params.certify = CertifyMode::kFull;
   const MilpSolution s = Solver(lp_refuted_model(), params).solve();
   ASSERT_EQ(s.status, SolveStatus::kInfeasible);
@@ -195,7 +193,6 @@ TEST(CertifyInfeasibleTest, RejectsBranchesThatDoNotCoverTheDomain) {
 
 TEST(CertifyInfeasibleTest, RejectsOverflowedProof) {
   SolverParams params = optimality_params();
-  params.num_threads = 1;
   params.certify = CertifyMode::kFull;
   const MilpSolution s = Solver(infeasible_model(), params).solve();
   ASSERT_NE(s.proof, nullptr);
@@ -228,7 +225,6 @@ TEST_F(CertifyFailpointTest, CorruptRayDemotesVerdictAfterDistrustRetry) {
   // certificate.
   failpoint::arm("milp.certify.corrupt_ray");
   SolverParams params = optimality_params();
-  params.num_threads = 1;
   params.certify = CertifyMode::kFull;
   const MilpSolution s = Solver(lp_refuted_model(), params).solve();
   EXPECT_EQ(s.status, SolveStatus::kInfeasible);
@@ -251,7 +247,6 @@ TEST_F(CertifyFailpointTest, CorruptProofDegradesSweepWithoutChangingLatency) {
   core::RefinePartitionsParams params;
   params.budget.delta = 20.0;
   params.budget.solver.node_limit = 200000;
-  params.budget.solver.num_threads = 1;
   params.budget.solver.certify = CertifyMode::kFull;
 
   const core::RefinePartitionsResult clean =

@@ -189,12 +189,6 @@ class ReferencePropagator {
       (e.is_lb ? lb : ub)[static_cast<std::size_t>(e.var)] = e.old_value;
     }
   }
-  void reset_to(const std::vector<double>& new_lb,
-                const std::vector<double>& new_ub) {
-    lb = new_lb;
-    ub = new_ub;
-    trail.clear();
-  }
 
   bool propagate(const std::vector<VarId>& seeds, PropagationStats& stats,
                  DerivationLog& log) {
@@ -482,18 +476,6 @@ TEST(PropagationDifferentialTest, MatchesFromScratchReference) {
         ref.rollback(marks[k]);
         marks.resize(k);
         expect_activities_match(compiled, domains, at + " rollback");
-      } else if (r < 0.96) {
-        // Seat a sub-box of the current domains, as a worker does.
-        std::vector<double> lb = ref.lb, ub = ref.ub;
-        const auto w = static_cast<std::size_t>(v);
-        if (std::isfinite(lb[w]) && lb[w] < ub[w]) {
-          lb[w] = compiled.is_integral(v) ? std::ceil((lb[w] + ub[w]) / 2.0)
-                                          : (lb[w] + ub[w]) / 2.0;
-        }
-        domains.reset_to(lb, ub);
-        ref.reset_to(lb, ub);
-        marks.clear();
-        expect_activities_match(compiled, domains, at + " reset_to");
       } else if (compiled.has_cutoff_row()) {
         compiled.set_cutoff(unit(rng) < 0.2 ? kInfinity
                                             : unit(rng) * 40.0 - 20.0);

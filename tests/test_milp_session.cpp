@@ -1,7 +1,6 @@
 // Tests of the milp::Solver session API: construct / solve / re-solve with
-// tightened parameters, cooperative cancellation, incumbent callbacks,
-// parallel-vs-serial agreement, and the deprecated free-function wrappers
-// (the one place in the tree still allowed to call them).
+// tightened parameters, cooperative cancellation from another thread, and
+// incumbent callbacks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,7 +30,6 @@ Model knapsack_model() {
 /// Infeasible model whose infeasibility needs exhaustive search to prove:
 /// an even-coefficient sum can never hit an odd target, but interval
 /// propagation cannot see parity, so the DFS enumerates the whole cube.
-/// `vars` >= 48 also clears the parallel dispatch threshold.
 Model parity_hard_model(int vars) {
   Model m("parity");
   LinExpr sum;
@@ -92,29 +90,11 @@ TEST(MilpSessionTest, ExternalCancelTokenStopsSolve) {
 TEST(MilpSessionTest, CancelMidSolveReturnsLimitReachedSerial) {
   const Model m = parity_hard_model(60);
   SolverParams params;
-  params.num_threads = 1;
   Solver solver(m, params);
   std::thread canceller([&solver] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     solver.cancel();
   });
-  const MilpSolution s = solver.solve();
-  canceller.join();
-  EXPECT_EQ(s.status, SolveStatus::kLimitReached);
-  EXPECT_TRUE(s.values.empty());
-}
-
-TEST(MilpSessionTest, CancelMidSolveReturnsLimitReachedParallel) {
-  const Model m = parity_hard_model(60);
-  SolverParams params;
-  params.num_threads = 4;
-  Solver solver(m, params);
-  std::thread canceller([&solver] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    solver.cancel();
-  });
-  // solve() joins every worker before returning, so control reaching the
-  // assertions below with kLimitReached is the no-leaked-workers guarantee.
   const MilpSolution s = solver.solve();
   canceller.join();
   EXPECT_EQ(s.status, SolveStatus::kLimitReached);
@@ -157,7 +137,6 @@ TEST(MilpSessionTest, ConcurrentCancelDuringResetIsNeverDropped) {
   const Model m = parity_hard_model(52);
   SolverParams params;
   params.time_limit_sec = 30.0;  // safety net if a cancel were lost
-  params.num_threads = 2;
   Solver solver(m, params);
   for (int round = 0; round < 8; ++round) {
     std::thread canceller([&solver] { solver.cancel(); });
@@ -193,31 +172,6 @@ TEST(MilpSessionTest, IncumbentCallbackObservesImprovingSolutions) {
   EXPECT_NEAR(objectives.back(), s.objective, 1e-9);
 }
 
-TEST(MilpSessionTest, IncumbentSnapshotExportsTheCarriedUpperBound) {
-  const Model m = knapsack_model();
-  Solver solver(m, optimality_params());
-  // Before any solve there is nothing to export.
-  EXPECT_FALSE(solver.incumbent_snapshot().has_value());
-
-  const MilpSolution s = solver.solve();
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  const auto snap = solver.incumbent_snapshot();
-  ASSERT_TRUE(snap.has_value());
-  // The snapshot is the last accepted incumbent: the optimum, with its full
-  // assignment (decodable/replayable by a checkpointer) and node stamp.
-  EXPECT_NEAR(snap->objective, s.objective, 1e-9);
-  EXPECT_EQ(snap->values.size(), s.values.size());
-  EXPECT_GT(snap->nodes_explored, 0);
-
-  // A new solve starts a new incumbent lineage; the stale snapshot must not
-  // survive into it. Cancel before solving: no incumbent, no snapshot.
-  solver.cancel();
-  const MilpSolution cancelled = solver.solve();
-  EXPECT_EQ(cancelled.status, SolveStatus::kLimitReached);
-  EXPECT_FALSE(solver.incumbent_snapshot().has_value());
-  solver.reset_cancel();
-}
-
 TEST(MilpSessionTest, IncumbentCallbackCanCancelViaToken) {
   // A knapsack big enough that proving optimality takes far longer than
   // finding the first incumbent, so cancelling from the callback observably
@@ -251,70 +205,6 @@ TEST(MilpSessionTest, IncumbentCallbackCanCancelViaToken) {
   EXPECT_EQ(s.status, SolveStatus::kFeasible);
   EXPECT_EQ(events.load(), 1);
 }
-
-TEST(MilpSessionTest, ParallelSolveMatchesSerialOnHardInfeasible) {
-  const Model m = parity_hard_model(8);
-  // Too small for the parallel threshold, but num_threads must still be
-  // accepted and produce the serial answer.
-  for (const int threads : {1, 2, 8}) {
-    SolverParams params;
-    params.num_threads = threads;
-    const MilpSolution s = Solver(m, params).solve();
-    EXPECT_EQ(s.status, SolveStatus::kInfeasible) << threads << " threads";
-  }
-}
-
-TEST(MilpSessionTest, ParallelFirstFeasibleMatchesSerial) {
-  // 60 binaries, pick exactly 7: far above the parallel threshold, many
-  // feasible leaves. The accepted candidate must be the serial one (the
-  // DFS-first leaf) at every thread count.
-  Model m("pick7");
-  LinExpr sum;
-  for (int i = 0; i < 60; ++i) {
-    sum += LinExpr(m.add_binary("x" + std::to_string(i)));
-  }
-  m.add_constraint(std::move(sum) == 7.0, "pick7");
-
-  SolverParams serial = first_feasible_params();
-  serial.num_threads = 1;
-  const MilpSolution reference = Solver(m, serial).solve();
-  ASSERT_EQ(reference.status, SolveStatus::kFeasible);
-
-  for (const int threads : {2, 8}) {
-    SolverParams params = first_feasible_params();
-    params.num_threads = threads;
-    const MilpSolution s = Solver(m, params).solve();
-    ASSERT_EQ(s.status, SolveStatus::kFeasible) << threads << " threads";
-    EXPECT_EQ(s.values, reference.values) << threads << " threads";
-  }
-}
-
-TEST(MilpSessionTest, ParallelOptimalityMatchesSerial) {
-  const Model m = knapsack_model();
-  for (const int threads : {2, 8}) {
-    SolverParams params = optimality_params();
-    params.num_threads = threads;
-    const MilpSolution s = Solver(m, params).solve();
-    ASSERT_EQ(s.status, SolveStatus::kOptimal) << threads << " threads";
-    EXPECT_NEAR(s.objective, 20.0, 1e-6) << threads << " threads";
-  }
-}
-
-// The deprecated free functions must keep working until the next major
-// version; this is the single remaining call site in the tree.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(MilpSessionTest, DeprecatedWrappersStillWork) {
-  const Model m = knapsack_model();
-  const MilpSolution plain = solve(m);
-  EXPECT_TRUE(plain.has_solution());
-  const MilpSolution feasible = solve_first_feasible(m);
-  EXPECT_TRUE(feasible.has_solution());
-  const MilpSolution optimal = solve_to_optimality(m);
-  ASSERT_EQ(optimal.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(optimal.objective, 20.0, 1e-6);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace sparcs::milp

@@ -215,7 +215,7 @@ TEST(MilpSolverTest, CheckerRejectsBadSolutions) {
 }
 
 TEST(MilpSolverTest, SolverStatsArePopulated) {
-  // solve_to_optimality turns on LP bounding, so the simplex must run and
+  // optimality_params() turns on LP bounding, so the simplex must run and
   // every layer of SolverStats has to be filled in. The LP starts from the
   // slack basis at the origin; the covering row is what makes it pivot.
   Model m("stats");

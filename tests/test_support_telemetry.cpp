@@ -323,7 +323,6 @@ TEST_F(TelemetryTest, SolveRecordsConvergenceTimeline) {
   m.set_objective(10.0 * milp::LinExpr(a) + 13.0 * milp::LinExpr(b) +
                       7.0 * milp::LinExpr(c), /*minimize=*/false);
   milp::SolverParams params = milp::optimality_params();
-  params.num_threads = 1;
   const milp::MilpSolution s = milp::Solver(m, params).solve();
   ASSERT_EQ(s.status, milp::SolveStatus::kOptimal);
   ASSERT_FALSE(s.stats.convergence.empty());
@@ -346,30 +345,6 @@ TEST_F(TelemetryTest, SolveRecordsConvergenceTimeline) {
   EXPECT_NE(json.find("\"kind\": \"incumbent\""), std::string::npos);
 }
 
-TEST_F(TelemetryTest, ParallelSolveMergesOrderedConvergence) {
-  milp::Model m("pick");
-  std::vector<milp::VarId> xs;
-  milp::LinExpr sum;
-  milp::LinExpr obj;
-  for (int i = 0; i < 12; ++i) {
-    xs.push_back(m.add_binary("x" + std::to_string(i)));
-    sum += milp::LinExpr(xs.back());
-    obj += static_cast<double>(i + 1) * milp::LinExpr(xs.back());
-  }
-  m.add_constraint(sum == 6.0, "pick6");
-  m.set_objective(obj, /*minimize=*/true);
-  milp::SolverParams params = milp::optimality_params();
-  params.num_threads = 4;
-  const milp::MilpSolution s = milp::Solver(m, params).solve();
-  ASSERT_EQ(s.status, milp::SolveStatus::kOptimal);
-  ASSERT_FALSE(s.stats.convergence.empty());
-  double last_t = 0.0;
-  for (const milp::ConvergenceEvent& e : s.stats.convergence) {
-    EXPECT_GE(e.t_sec, last_t);  // merged timeline stays time-ordered
-    last_t = e.t_sec;
-  }
-}
-
 TEST_F(TelemetryTest, SolveUnderTelemetryPublishesLiveState) {
   telemetry::set_active(true);
   std::ostringstream sink;
@@ -389,7 +364,6 @@ TEST_F(TelemetryTest, SolveUnderTelemetryPublishesLiveState) {
   }
   m.add_constraint(sum == 4.0, "pick4");
   milp::SolverParams params;
-  params.num_threads = 1;
   const milp::MilpSolution s =
       milp::Solver(m, milp::first_feasible_params(params)).solve();
   EXPECT_EQ(s.status, milp::SolveStatus::kFeasible);

@@ -37,6 +37,14 @@ struct Frame {
   std::size_t trail_mark = 0;
 };
 
+/// The LP of one search node, with the maps back to the model.
+struct NodeLp {
+  LpProblem lp;
+  std::vector<ConstraintId> rows;  ///< model row of each LP row
+  std::vector<VarId> cols;         ///< model var of each LP column
+  double obj_offset = 0.0;         ///< objective of the folded fixed vars
+};
+
 class BnbSearch {
  public:
   BnbSearch(const Model& model, const SolverParams& params,
@@ -57,9 +65,25 @@ class BnbSearch {
   MilpSolution run();
 
  private:
+  /// True for an integral variable whose domain holds a single integer.
+  bool is_fixed(VarId v) const {
+    return compiled_.is_integral(v) && domains_.ub(v) - domains_.lb(v) < 0.5;
+  }
   /// First unfixed integral variable in branch-priority order, or -1.
   VarId pick_branch_var() const;
   std::vector<std::pair<double, double>> make_branches(VarId v) const;
+  /// Builds the LP of the current node, the one LP every in-search solve
+  /// uses: a column per continuous or unfixed integral variable, fixed
+  /// integral variables folded into the rhs (and, `with_objective`, into
+  /// obj_offset) at their value, and no row that is an inactive cutoff or
+  /// holds over the whole node box. A node without columns gets no rows.
+  NodeLp build_node_lp(bool with_objective) const;
+  /// Solves a node LP and adds its work to the stats; an infeasible
+  /// verdict's certificate is stashed in model coordinates for
+  /// record_lp_leaf(). The global limits are wired into the simplex abort
+  /// hook, so a deadline/cancel unwinds from inside a long LP run instead of
+  /// waiting for the next node boundary.
+  LpResult solve_node_lp(NodeLp& node_lp);
   /// Completes continuous variables by LP. Returns true when a feasible
   /// completion exists and fills `candidate`; `unbounded` reports an
   /// unbounded continuous objective.
@@ -73,11 +97,6 @@ class BnbSearch {
   /// latched (limit_stopped_) and decides the final status.
   bool limits_hit();
   bool cancel_requested() const;
-  void absorb_lp(const LpResult& lp_result);
-  /// LP parameters for in-node solves: wires the global limits into the
-  /// simplex abort hook, so a deadline/cancel unwinds from inside a long LP
-  /// run instead of waiting for the next node boundary.
-  LpParams node_lp_params();
   /// Marks the search incomplete (a subtree was dropped for a numerical or
   /// allocation reason): exhaustion no longer proves infeasibility.
   void mark_incomplete();
@@ -247,7 +266,7 @@ class BnbSearch {
 
 VarId BnbSearch::pick_branch_var() const {
   for (const VarId v : compiled_.branch_order()) {
-    if (domains_.ub(v) - domains_.lb(v) >= 0.5) return v;
+    if (!is_fixed(v)) return v;
   }
   return -1;
 }
@@ -282,35 +301,29 @@ std::vector<std::pair<double, double>> BnbSearch::make_branches(VarId v) const {
   return branches;
 }
 
-bool BnbSearch::complete_continuous(std::vector<double>& candidate,
-                                    bool* unbounded) {
-  *unbounded = false;
+NodeLp BnbSearch::build_node_lp(bool with_objective) const {
+  NodeLp out;
   const int n = compiled_.num_vars();
-  std::vector<int> cont_index(static_cast<std::size_t>(n), -1);
-  std::vector<VarId> cont_var;  ///< model var of each LP var (proof only)
-  LpProblem lp;
+  std::vector<int> col_of(static_cast<std::size_t>(n), -1);
   for (VarId v = 0; v < n; ++v) {
-    if (!compiled_.is_integral(v)) {
-      cont_index[static_cast<std::size_t>(v)] =
-          lp.add_var(0.0, domains_.lb(v), domains_.ub(v));
-      if (proof_on_) cont_var.push_back(v);
+    if (is_fixed(v)) continue;
+    col_of[static_cast<std::size_t>(v)] =
+        out.lp.add_var(0.0, domains_.lb(v), domains_.ub(v));
+    out.cols.push_back(v);
+  }
+  if (out.cols.empty()) return out;
+
+  if (with_objective) {
+    for (const LinTerm& t : compiled_.objective_terms()) {
+      const int j = col_of[static_cast<std::size_t>(t.var)];
+      if (j >= 0) {
+        out.lp.obj[static_cast<std::size_t>(j)] += t.coef;
+      } else {
+        out.obj_offset += t.coef * domains_.lb(t.var);
+      }
     }
   }
-
-  candidate.assign(static_cast<std::size_t>(n), 0.0);
-  for (VarId v = 0; v < n; ++v) {
-    if (compiled_.is_integral(v)) {
-      candidate[static_cast<std::size_t>(v)] = domains_.lb(v);
-    }
-  }
-
-  if (lp.num_vars() == 0) return true;  // nothing to complete
-
-  for (const LinTerm& t : compiled_.objective_terms()) {
-    const int j = cont_index[static_cast<std::size_t>(t.var)];
-    if (j >= 0) lp.obj[static_cast<std::size_t>(j)] += t.coef;
-  }
-  std::vector<ConstraintId> row_ids;  ///< model row of each LP row (proof)
+  const double tol = params_.feasibility_tol;
   for (int c = 0; c < compiled_.num_constraints(); ++c) {
     const CompiledConstraint& cc = compiled_.constraint(c);
     if (!std::isfinite(cc.rhs)) continue;  // inactive cutoff
@@ -318,25 +331,23 @@ bool BnbSearch::complete_continuous(std::vector<double>& candidate,
     const VarId* vars = compiled_.vars(cc);
     std::vector<LinTerm> terms;
     double rhs = cc.rhs;
-    // Activity range of the row over the current continuous domains; rows
-    // satisfied for every point of the box are redundant here (propagation
-    // has typically tightened the bounds enough to prune almost all rows,
-    // which keeps the completion LP small on large models).
+    // Activity range of the row over the node box. Rows that hold for every
+    // point of the box are redundant; propagation typically tightens the
+    // bounds enough to drop most rows, which keeps node LPs small.
     double min_act = 0.0, max_act = 0.0;
     for (int k = 0; k < compiled_.size(cc); ++k) {
       const VarId v = vars[k];
-      const int j = cont_index[static_cast<std::size_t>(v)];
+      const int j = col_of[static_cast<std::size_t>(v)];
       if (j >= 0) {
         const double a = coefs[k];
         terms.push_back({j, a});
         min_act += a * (a > 0.0 ? domains_.lb(v) : domains_.ub(v));
         max_act += a * (a > 0.0 ? domains_.ub(v) : domains_.lb(v));
       } else {
-        rhs -= coefs[k] * candidate[static_cast<std::size_t>(vars[k])];
+        rhs -= coefs[k] * domains_.lb(v);
       }
     }
     if (terms.empty()) continue;
-    const double tol = params_.feasibility_tol;
     bool redundant = false;
     switch (cc.sense) {
       case Sense::kLessEqual:
@@ -350,36 +361,74 @@ bool BnbSearch::complete_continuous(std::vector<double>& candidate,
         break;
     }
     if (!redundant) {
-      lp.add_row(std::move(terms), cc.sense, rhs);
-      if (proof_on_) row_ids.push_back(c);
+      out.lp.add_row(std::move(terms), cc.sense, rhs);
+      out.rows.push_back(c);
     }
   }
+  return out;
+}
 
-  const LpResult lp_result = solve_lp(lp, node_lp_params());
-  absorb_lp(lp_result);
+LpResult BnbSearch::solve_node_lp(NodeLp& node_lp) {
+  LpParams lp_params;
+  lp_params.should_abort = [this] { return limits_hit(); };
+  lp_params.want_certificate = proof_on_;
+  if (params_.distrust) {
+    // Certification retry: Bland's rule from the first iteration and
+    // tightened tolerances — slower, but the numerically cautious pivoting
+    // usually makes the re-extracted certificates verify exactly.
+    lp_params.stall_threshold = 0;
+    lp_params.feasibility_tol = std::min(lp_params.feasibility_tol, 1e-9);
+    lp_params.optimality_tol = std::min(lp_params.optimality_tol, 1e-9);
+  }
+  LpResult lp_result = solve_lp(node_lp.lp, lp_params);
+  ++stats_.simplex_calls;
+  stats_.simplex_iterations += lp_result.iterations;
+  stats_.simplex_pivots += lp_result.pivots;
+  stats_.simplex_refactorizations += lp_result.refactorizations;
+  stats_.lp_recoveries += lp_result.recoveries;
+  if (lp_result.status == LpStatus::kNumericalFailure) {
+    ++stats_.numerical_failures;
+  }
+  if (proof_on_ && lp_result.status == LpStatus::kInfeasible) {
+    // The ray is over the folded rows, but folding only moved the fixed
+    // integral contributions into the rhs, which the exact checker
+    // re-derives from the full model row and the node box.
+    lp_cert_ = std::move(lp_result.certificate);
+    lp_cert_rows_ = std::move(node_lp.rows);
+    lp_cert_empty_var_ = -1;
+    if (lp_cert_.kind == LpCertificate::Kind::kEmptyBound) {
+      const auto j = static_cast<std::size_t>(lp_cert_.var);
+      if (lp_cert_.var >= 0 && j < node_lp.cols.size()) {
+        lp_cert_empty_var_ = node_lp.cols[j];
+      } else {
+        lp_cert_.kind = LpCertificate::Kind::kNone;
+      }
+    }
+  }
+  return lp_result;
+}
+
+bool BnbSearch::complete_continuous(std::vector<double>& candidate,
+                                    bool* unbounded) {
+  *unbounded = false;
+  const int n = compiled_.num_vars();
+  candidate.assign(static_cast<std::size_t>(n), 0.0);
+  for (VarId v = 0; v < n; ++v) {
+    if (compiled_.is_integral(v)) {
+      candidate[static_cast<std::size_t>(v)] = domains_.lb(v);
+    }
+  }
+  // At a leaf every integral variable is fixed: the columns are exactly the
+  // continuous variables.
+  NodeLp node_lp = build_node_lp(/*with_objective=*/true);
+  if (node_lp.cols.empty()) return true;  // nothing to complete
+
+  const LpResult lp_result = solve_node_lp(node_lp);
   switch (lp_result.status) {
     case LpStatus::kOptimal:
       break;
     case LpStatus::kInfeasible:
       lp_refuted_ = true;
-      if (proof_on_) {
-        // Stash the certificate in model coordinates: the ray is over the
-        // folded rows, but the folding only changed the rhs by the fixed
-        // integral contributions, which the exact checker re-derives from
-        // the full model row and the node box.
-        lp_cert_ = lp_result.certificate;
-        lp_cert_rows_ = std::move(row_ids);
-        lp_cert_empty_var_ =
-            lp_cert_.kind == LpCertificate::Kind::kEmptyBound &&
-                    lp_cert_.var >= 0 &&
-                    lp_cert_.var < static_cast<int>(cont_var.size())
-                ? cont_var[static_cast<std::size_t>(lp_cert_.var)]
-                : -1;
-        if (lp_cert_.kind == LpCertificate::Kind::kEmptyBound &&
-            lp_cert_empty_var_ < 0) {
-          lp_cert_.kind = LpCertificate::Kind::kNone;
-        }
-      }
       return false;
     case LpStatus::kUnbounded:
       *unbounded = true;
@@ -391,75 +440,17 @@ bool BnbSearch::complete_continuous(std::vector<double>& candidate,
       mark_incomplete();
       return false;
   }
-  for (VarId v = 0; v < n; ++v) {
-    const int j = cont_index[static_cast<std::size_t>(v)];
-    if (j >= 0) {
-      candidate[static_cast<std::size_t>(v)] =
-          lp_result.x[static_cast<std::size_t>(j)];
-    }
+  for (std::size_t j = 0; j < node_lp.cols.size(); ++j) {
+    candidate[static_cast<std::size_t>(node_lp.cols[j])] = lp_result.x[j];
   }
   return true;
 }
 
 bool BnbSearch::lp_prune() {
-  LpProblem lp;
-  const int n = compiled_.num_vars();
-  for (VarId v = 0; v < n; ++v) {
-    lp.add_var(0.0, domains_.lb(v), domains_.ub(v));
-  }
-  std::vector<ConstraintId> row_ids;  ///< model row of each LP row (proof)
-  for (int c = 0; c < compiled_.num_constraints(); ++c) {
-    const CompiledConstraint& cc = compiled_.constraint(c);
-    if (!std::isfinite(cc.rhs)) continue;
-    const double* coefs = compiled_.coefs(cc);
-    const VarId* vars = compiled_.vars(cc);
-    std::vector<LinTerm> terms;
-    terms.reserve(static_cast<std::size_t>(compiled_.size(cc)));
-    for (int k = 0; k < compiled_.size(cc); ++k) {
-      terms.push_back({vars[k], coefs[k]});
-    }
-    lp.add_row(std::move(terms), cc.sense, cc.rhs);
-    if (proof_on_) row_ids.push_back(c);
-  }
-  const LpResult lp_result = solve_lp(lp, node_lp_params());
-  absorb_lp(lp_result);
-  if (proof_on_ && lp_result.status == LpStatus::kInfeasible) {
-    lp_cert_ = lp_result.certificate;
-    lp_cert_rows_ = std::move(row_ids);
-    // LP variables are the model variables here, so a kEmptyBound var needs
-    // no translation.
-    lp_cert_empty_var_ =
-        lp_cert_.kind == LpCertificate::Kind::kEmptyBound ? lp_cert_.var : -1;
-  }
+  NodeLp node_lp = build_node_lp(/*with_objective=*/false);
   // kNumericalFailure (recovery exhausted) keeps the node: skipping the LP
   // prune is always sound, just slower.
-  return lp_result.status != LpStatus::kInfeasible;  // true = keep node
-}
-
-void BnbSearch::absorb_lp(const LpResult& lp_result) {
-  ++stats_.simplex_calls;
-  stats_.simplex_iterations += lp_result.iterations;
-  stats_.simplex_pivots += lp_result.pivots;
-  stats_.simplex_refactorizations += lp_result.refactorizations;
-  stats_.lp_recoveries += lp_result.recoveries;
-  if (lp_result.status == LpStatus::kNumericalFailure) {
-    ++stats_.numerical_failures;
-  }
-}
-
-LpParams BnbSearch::node_lp_params() {
-  LpParams lp;
-  lp.should_abort = [this] { return limits_hit(); };
-  lp.want_certificate = proof_on_;
-  if (params_.distrust) {
-    // Certification retry: Bland's rule from the first iteration and
-    // tightened tolerances — slower, but the numerically cautious pivoting
-    // usually makes the re-extracted certificates verify exactly.
-    lp.stall_threshold = 0;
-    lp.feasibility_tol = std::min(lp.feasibility_tol, 1e-9);
-    lp.optimality_tol = std::min(lp.optimality_tol, 1e-9);
-  }
-  return lp;
+  return solve_node_lp(node_lp).status != LpStatus::kInfeasible;  // keep
 }
 
 void BnbSearch::mark_incomplete() { incomplete_ = true; }
@@ -481,32 +472,11 @@ void BnbSearch::publish_root_bound() {
       compiled_.objective_terms().empty()) {
     return;
   }
-  LpProblem lp;
-  const int n = compiled_.num_vars();
-  for (VarId v = 0; v < n; ++v) {
-    lp.add_var(0.0, domains_.lb(v), domains_.ub(v));
-  }
-  for (const LinTerm& t : compiled_.objective_terms()) {
-    lp.obj[static_cast<std::size_t>(t.var)] += t.coef;
-  }
-  for (int c = 0; c < compiled_.num_constraints(); ++c) {
-    const CompiledConstraint& cc = compiled_.constraint(c);
-    if (!std::isfinite(cc.rhs)) continue;  // inactive cutoff
-    const double* coefs = compiled_.coefs(cc);
-    const VarId* vars = compiled_.vars(cc);
-    std::vector<LinTerm> terms;
-    terms.reserve(static_cast<std::size_t>(compiled_.size(cc)));
-    for (int k = 0; k < compiled_.size(cc); ++k) {
-      terms.push_back({vars[k], coefs[k]});
-    }
-    lp.add_row(std::move(terms), cc.sense, cc.rhs);
-  }
-  const LpResult lp_result = solve_lp(lp, node_lp_params());
-  absorb_lp(lp_result);
+  NodeLp node_lp = build_node_lp(/*with_objective=*/true);
+  const LpResult lp_result = solve_node_lp(node_lp);
   if (lp_result.status != LpStatus::kOptimal) return;
-  const double caller_bound = compiled_.objective_flipped()
-                                  ? -lp_result.objective
-                                  : lp_result.objective;
+  const double bound = lp_result.objective + node_lp.obj_offset;
+  const double caller_bound = compiled_.objective_flipped() ? -bound : bound;
   live_->best_bound.store(caller_bound, std::memory_order_relaxed);
   live_->has_bound.store(true, std::memory_order_relaxed);
   stats_.convergence.push_back({stopwatch_.seconds(), caller_bound, nodes_,
@@ -611,10 +581,13 @@ bool BnbSearch::handle_leaf(MilpSolution& result) {
   return stop_;
 }
 
+/// LP bounding runs only on models up to this many variables: past it a
+/// dense node LP costs more than the nodes it prunes.
+constexpr int kLpBoundingMaxVars = 2000;
+
 void BnbSearch::search_loop(MilpSolution& result) {
   const bool lp_bounding =
-      params_.use_lp_bounding &&
-      compiled_.num_vars() <= params_.lp_bounding_max_vars;
+      params_.use_lp_bounding && compiled_.num_vars() <= kLpBoundingMaxVars;
 
   // DFS over decision frames. `descend` signals that the current domains may
   // hold new work (fresh node); false means resume the top frame.
@@ -632,12 +605,6 @@ void BnbSearch::search_loop(MilpSolution& result) {
       }
       if (live_ != nullptr && (nodes_ % kLivePublishPeriod) == 0) {
         publish_live();
-      }
-      if (params_.log_every_nodes > 0 &&
-          nodes_ % params_.log_every_nodes == 0) {
-        SPARCS_ILOG << "nodes=" << nodes_ << " depth=" << stack_.size()
-                    << " incumbent="
-                    << (have_incumbent_ ? incumbent_obj_ : kInfinity);
       }
       // Search-tree record of this node: classified at whichever exit the
       // node takes below; interior nodes become the parent of their frame's

@@ -23,6 +23,26 @@ void LpProblem::add_row(std::vector<LinTerm> terms, Sense sense, double rhs) {
 
 namespace {
 
+/// Iterations per solve attempt before it reports kIterationLimit.
+constexpr int kMaxIterations = 200000;
+/// Smallest tableau entry accepted as a pivot (ratio-test ties within it
+/// are broken by the larger pivot).
+constexpr double kPivotTol = 1e-9;
+/// Cap on tableau entries (rows * columns) against runaway memory;
+/// exceeding it throws InvalidArgumentError.
+constexpr std::int64_t kMaxTableauEntries = 60'000'000;
+/// Bland's rule iterations without terminating before a solve gives up on
+/// anti-cycling and returns kNumericalFailure instead of spinning until
+/// kMaxIterations.
+constexpr int kCycleLimit = 20000;
+/// Numerical-failure recovery attempts in solve_lp: each retry restarts
+/// with Bland's rule from iteration 0, and retries past the first also
+/// perturb the finite variable bounds outward (keeping the original
+/// feasible region a subset, so bounding stays conservative).
+constexpr int kMaxRecoveries = 2;
+/// Relative magnitude of the outward bound perturbation per retry.
+constexpr double kPerturbation = 1e-9;
+
 enum class ColStatus : std::uint8_t {
   kBasic,
   kAtLower,
@@ -99,8 +119,7 @@ class SimplexTableau {
 
 void SimplexTableau::build(const LpProblem& problem) {
   ncols_ = n_struct_ + m_;
-  SPARCS_REQUIRE(static_cast<std::int64_t>(m_) * ncols_ <=
-                     params_.max_tableau_entries,
+  SPARCS_REQUIRE(static_cast<std::int64_t>(m_) * ncols_ <= kMaxTableauEntries,
                  "LP too large for the dense simplex tableau");
 
   lb_.assign(static_cast<std::size_t>(ncols_), 0.0);
@@ -296,7 +315,7 @@ bool SimplexTableau::iterate(int entering, bool* made_progress) {
   bool leave_at_upper = false;
   for (int i = 0; i < m_; ++i) {
     const double y = tab(i, entering);
-    if (std::abs(y) < params_.pivot_tol) continue;
+    if (std::abs(y) < kPivotTol) continue;
     const int b = basis_[static_cast<std::size_t>(i)];
     const double v = xb_[static_cast<std::size_t>(i)];
     const double delta = -static_cast<double>(dir) * y;  // d(xB_i)/dt
@@ -321,8 +340,8 @@ bool SimplexTableau::iterate(int entering, bool* made_progress) {
     }
     double t_i = (limit - v) / delta;
     if (t_i < 0.0) t_i = 0.0;  // degenerate step
-    if (t_i < t_max - params_.pivot_tol ||
-        (t_i < t_max + params_.pivot_tol &&
+    if (t_i < t_max - kPivotTol ||
+        (t_i < t_max + kPivotTol &&
          std::abs(y) > std::abs(leave_pivot))) {
       if (t_i <= t_max) {
         t_max = t_i;
@@ -529,7 +548,7 @@ LpResult SimplexTableau::run_phases() {
   }
   if (SPARCS_FAILPOINT("milp.simplex.cycle")) {
     // Emulates the degenerate-cycling detector giving up (Bland's rule ran
-    // cycle_limit iterations without terminating).
+    // kCycleLimit iterations without terminating).
     result.status = LpStatus::kNumericalFailure;
     return result;
   }
@@ -546,7 +565,7 @@ LpResult SimplexTableau::run_phases() {
     if (bland) {
       // Bland's rule terminates in exact arithmetic; if it spins this long we
       // are cycling on roundoff and no pivoting rule will save us.
-      if (++bland_run > params_.cycle_limit) {
+      if (++bland_run > kCycleLimit) {
         result.status = LpStatus::kNumericalFailure;
         result.iterations = iterations_;
         return result;
@@ -594,7 +613,7 @@ LpResult SimplexTableau::run_phases() {
     }
     if (phase_ == 1) reprice_phase1();
     stall = progress ? 0 : stall + 1;
-    if (++iterations_ >= params_.max_iterations) {
+    if (++iterations_ >= kMaxIterations) {
       result.status = LpStatus::kIterationLimit;
       result.iterations = iterations_;
       return result;
@@ -659,7 +678,7 @@ LpResult solve_lp(const LpProblem& problem, const LpParams& params) {
   // attempts). Iteration/pivot counts accumulate across attempts.
   for (int attempt = 1;
        result.status == LpStatus::kNumericalFailure &&
-       attempt <= params.max_recoveries;
+       attempt <= kMaxRecoveries;
        ++attempt) {
     SPARCS_LOG(kDebug) << "simplex recovery attempt " << attempt
                        << " (Bland" << (attempt > 1 ? " + perturbation" : "")
@@ -669,7 +688,7 @@ LpResult solve_lp(const LpProblem& problem, const LpParams& params) {
     LpResult prior = result;
     if (attempt > 1) {
       const LpProblem perturbed = perturb_bounds_outward(
-          problem, params.perturbation * static_cast<double>(attempt));
+          problem, kPerturbation * static_cast<double>(attempt));
       result = SimplexTableau(perturbed, retry).run();
     } else {
       result = SimplexTableau(problem, retry).run();

@@ -150,8 +150,9 @@ MilpSolution Solver::solve() {
   if (solution.certified == CertifyStatus::kUncertified && !params_.distrust) {
     // Distrust-and-retry: one re-solve under numerically cautious settings
     // (Bland's rule from the start, tightened tolerances). The retry's
-    // verdict replaces the distrusted one; its stats absorb the first
-    // attempt's so the session accounts for the total work.
+    // verdict replaces the distrusted one; its stats are added after the
+    // first attempt's, timeline included, so the session accounts for the
+    // total work.
     SPARCS_WLOG << "verdict " << to_string(solution.status)
                 << " failed exact certification (" << solution.certify_detail
                 << "); re-solving with distrust settings";
@@ -159,7 +160,9 @@ MilpSolution Solver::solve() {
     retry_params.distrust = true;
     MilpSolution retried =
         solve_branch_and_bound(model_, retry_params, callbacks);
-    retried.stats.merge(solution.stats);
+    SolverStats total = std::move(solution.stats);
+    total.merge(retried.stats);
+    retried.stats = std::move(total);
     retried.stats.certify_retries += 1;
     solution = std::move(retried);
     certify_verdict(model_, retry_params, solution);

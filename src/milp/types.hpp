@@ -9,7 +9,6 @@
 // mode for the small reference experiments; both are provided.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -155,14 +154,13 @@ struct SolverParams {
   /// Maximum number of branch & bound nodes explored.
   std::int64_t node_limit = std::numeric_limits<std::int64_t>::max();
 
-  /// Use LP-relaxation bounding/pruning at search nodes. Strong but costly;
-  /// enabled automatically for optimality runs on models below
-  /// `lp_bounding_max_vars`.
+  /// Use LP-relaxation bounding/pruning at search nodes (optimality_params()
+  /// sets it). Strong but costly; the search skips it on models past a fixed
+  /// size (branch_and_bound.cpp).
   bool use_lp_bounding = false;
-  int lp_bounding_max_vars = 2000;
 
-  /// Integrality and feasibility tolerances.
-  double integrality_tol = 1e-6;
+  /// Feasibility tolerance of propagation, of the node-LP row drop and of
+  /// the incumbent check.
   double feasibility_tol = 1e-6;
 
   /// Minimum improvement required of a new incumbent (objective cutoff step).
@@ -170,9 +168,6 @@ struct SolverParams {
 
   /// Maximum propagation sweeps per node before settling.
   int max_propagation_rounds = 50;
-
-  /// Emit per-node progress at kInfo level every this many nodes (0 = off).
-  std::int64_t log_every_nodes = 0;
 
   /// Ignored: the search always runs on the calling thread. Kept only
   /// because the benchmark driver (perfbench/) still assigns it; dropped
@@ -247,7 +242,8 @@ struct SolverStats {
   std::int64_t uncertified_verdicts = 0;  ///< verdicts demoted after retry
 
   /// Incumbent/bound improvement timeline, in the order the search found
-  /// the events (so time-ordered).
+  /// the events. Each solve times its events from its own start, so after
+  /// merge() the timeline is per solve in call order, not time-sorted.
   std::vector<ConvergenceEvent> convergence;
 
   /// Renders every accumulator plus the convergence timeline as one JSON
@@ -255,8 +251,8 @@ struct SolverStats {
   /// telemetry stream).
   [[nodiscard]] std::string to_json() const;
 
-  /// Accumulates another solve's stats (sums; max for max_depth; timelines
-  /// concatenate and re-sort by timestamp).
+  /// Accumulates another solve's stats (sums; max for max_depth; the other
+  /// timeline is appended after this one).
   void merge(const SolverStats& other) {
     nodes_explored += other.nodes_explored;
     nodes_pruned_by_bound += other.nodes_pruned_by_bound;
@@ -283,10 +279,6 @@ struct SolverStats {
     uncertified_verdicts += other.uncertified_verdicts;
     convergence.insert(convergence.end(), other.convergence.begin(),
                        other.convergence.end());
-    std::stable_sort(convergence.begin(), convergence.end(),
-                     [](const ConvergenceEvent& a, const ConvergenceEvent& b) {
-                       return a.t_sec < b.t_sec;
-                     });
   }
 };
 

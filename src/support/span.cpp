@@ -7,6 +7,7 @@
 #include <ostream>
 #include <vector>
 
+#include "support/report_writer.hpp"
 #include "support/strings.hpp"
 
 namespace sparcs::trace {
@@ -33,31 +34,6 @@ int this_thread_id() {
   static std::atomic<int> next{1};
   thread_local int id = next.fetch_add(1);
   return id;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += str_format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -89,7 +65,7 @@ void write_chrome_json(std::ostream& os) {
   for (const Event& e : events()) {
     os << (first ? "\n" : ",\n");
     first = false;
-    os << "{\"name\":\"" << json_escape(e.name)
+    os << "{\"name\":\"" << report::json_escape(e.name)
        << "\",\"cat\":\"sparcs\",\"ph\":\"X\",\"ts\":" << e.ts_us
        << ",\"dur\":" << e.dur_us << ",\"pid\":1,\"tid\":" << e.tid;
     if (!e.args_json.empty()) os << ",\"args\":{" << e.args_json << "}";
@@ -153,7 +129,8 @@ void Span::arg(const char* key, double value) {
 void Span::arg(const char* key, const std::string& value) {
   if (!active_) return;
   if (!args_json_.empty()) args_json_ += ",";
-  args_json_ += str_format("\"%s\":\"%s\"", key, json_escape(value).c_str());
+  args_json_ += str_format("\"%s\":\"%s\"", key,
+                           report::json_escape(value).c_str());
 }
 
 }  // namespace sparcs::trace

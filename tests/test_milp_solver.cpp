@@ -248,10 +248,23 @@ TEST(MilpSolverTest, SolverStatsMergeSumsAndMaxes) {
   b.nodes_explored = 4;
   b.simplex_iterations = 5;
   b.max_depth = 7;
+  // Each solve times its events from its own start, so the second
+  // timeline's timestamps are smaller; the merge keeps the call order.
+  using Kind = ConvergenceEvent::Kind;
+  a.convergence = {{0.5, 10.0, 1, Kind::kIncumbent},
+                   {0.9, 12.0, 3, Kind::kIncumbent}};
+  b.convergence = {{0.1, 8.0, 2, Kind::kBound},
+                   {0.2, 9.0, 4, Kind::kIncumbent}};
   a.merge(b);
   EXPECT_EQ(a.nodes_explored, 7);
   EXPECT_EQ(a.simplex_iterations, 15);
   EXPECT_EQ(a.max_depth, 7);  // depth is a maximum, not a sum
+  ASSERT_EQ(a.convergence.size(), 4u);
+  const std::int64_t nodes[] = {1, 3, 2, 4};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(a.convergence[i].nodes, nodes[i]) << "event " << i;
+  }
+  EXPECT_EQ(a.convergence[2].kind, Kind::kBound);
 }
 
 TEST(MilpSolverTest, InfeasibleModelCountsPrunedNodes) {
